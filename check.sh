@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository check: tier-1 build+test, race detector, vet, formatting
-# (simplify mode), domain static analysis (blklint), fuzz smoke, and a
-# fleet bench smoke (scratch vs delta bit-identity).
+# (simplify mode), domain static analysis (blklint), fuzz smoke, and the
+# benchmark's smoke test (every workload through its correctness gate).
 # See README.md "Testing & verification" and "Static analysis".
 set -e
 
@@ -97,28 +97,32 @@ go test -run='^$' -fuzz=FuzzSegmentKey -fuzztime=5s ./internal/memo
 go test -run='^$' -fuzz=FuzzDeviceKey -fuzztime=5s ./internal/fleet
 go test -run='^$' -fuzz=FuzzRingOwner -fuzztime=5s ./internal/cluster
 
-# The fleet bench asserts the scratch and delta arms produce identical
-# aggregates before reporting speedup, so this smoke doubles as an
-# end-to-end bit-identity check; the report goes to a scratch file so
-# the committed BENCH_fleet.json (10k-device numbers) is not clobbered.
-echo "== fleet smoke (bench-json fleet, 200 devices)"
-fleet_tmp=$(mktemp)
-go run ./cmd/blkv bench-json fleet -sizes 200 -o "$fleet_tmp"
-rm -f "$fleet_tmp"
-
-# The serve bench's cluster arms assert the two sharding invariants
-# before reporting: summed node misses equal the schedule's distinct
-# scenarios (each canonical key owned by exactly one node) and sampled
-# responses match the single-node arm byte for byte. A small 2-node run
-# is the cluster smoke; the committed BENCH_serve.json keeps the full
-# 1/2/4-node curves.
-echo "== cluster smoke (bench-json serve, 2 nodes)"
-serve_tmp=$(mktemp)
-go run ./cmd/blkv bench-json serve -c 16 -n 200 -nodes 1,2 -o "$serve_tmp"
-rm -f "$serve_tmp"
+# The benchmark (perfbench/, its own module) runs every workload at a
+# tiny size through its correctness gate: routed bytes equal the owner's,
+# sweep cells equal /v1/session, a node's fleet result equals an
+# in-process fleet.Run, and the functional digest holds.
+echo "== benchmark smoke (perfbench, all workloads)"
+(cd perfbench && go test -count=1 ./...)
 
 echo "== service binaries respond to -help"
 go run ./cmd/blkd -help
 go run ./cmd/blkload -help
+
+# Cache sizes are deployment settings with no "off" value: blkd must
+# refuse an empty cache as a usage error (exit 2). The unusable listen
+# address makes a blkd that wrongly accepts the flag exit 1 instead of
+# serving forever.
+echo "== blkd rejects empty caches"
+blkd_dir=$(mktemp -d)
+go build -o "$blkd_dir/blkd" ./cmd/blkd
+for flag in -cache -segcache; do
+    status=0
+    "$blkd_dir/blkd" -addr 127.0.0.1:-1 "$flag" 0 2>/dev/null || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "blkd $flag 0 exited $status; want 2 (rejected as a usage error)" >&2
+        exit 1
+    fi
+done
+rm -rf "$blkd_dir"
 
 echo "all checks passed"

@@ -7,9 +7,12 @@
 // Usage:
 //
 //	blkd [-addr :8080] [-cache 4096] [-segcache 8192] [-concurrency N]
-//	     [-queue 64] [-timeout 30s] [-drain 10s] [-no-coalesce]
+//	     [-queue 64] [-timeout 30s] [-drain 10s]
 //	     [-node NAME] [-warm snapshot.gob]
 //	blkd -route http://node1:8080,http://node2:8080 [-vnodes 128]
+//
+// -cache and -segcache size the result and segment caches; both are
+// always on, so each needs at least one entry.
 //
 // Endpoints:
 //
@@ -53,13 +56,12 @@ import (
 func main() {
 	fs := flag.NewFlagSet("blkd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	cacheN := fs.Int("cache", 4096, "scenario result cache entries (0 disables caching)")
-	segN := fs.Int("segcache", 8192, "delta-simulation segment cache entries (0 disables delta simulation)")
+	cacheN := fs.Int("cache", 4096, "scenario result cache entries (at least 1)")
+	segN := fs.Int("segcache", 8192, "delta-simulation segment cache entries (at least 1)")
 	conc := fs.Int("concurrency", 0, "max concurrent model executions (0 = 2×GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "max requests queued for an execution slot before 429")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution deadline")
 	drain := fs.Duration("drain", 10*time.Second, "graceful drain bound on shutdown")
-	noCoalesce := fs.Bool("no-coalesce", false, "disable coalescing of identical in-flight requests")
 	node := fs.String("node", "", "node name reported in /v1/health and /v1/stats (default blkd)")
 	warm := fs.String("warm", "", "import a cache snapshot file before serving (warm restart)")
 	route := fs.String("route", "", "run as a cluster router over these comma-separated backend URLs")
@@ -68,6 +70,10 @@ func main() {
 		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(0)
 		}
+		os.Exit(2)
+	}
+	if *cacheN < 1 || *segN < 1 {
+		fmt.Fprintf(os.Stderr, "blkd: -cache and -segcache must be at least 1 (got %d, %d)\n", *cacheN, *segN)
 		os.Exit(2)
 	}
 
@@ -89,10 +95,7 @@ func main() {
 		MaxConcurrent:       *conc,
 		QueueDepth:          *queue,
 		CacheEntries:        *cacheN,
-		DisableCache:        *cacheN == 0,
 		SegmentCacheEntries: *segN,
-		DisableDelta:        *segN == 0,
-		DisableCoalesce:     *noCoalesce,
 		RequestTimeout:      *timeout,
 		DrainTimeout:        *drain,
 	})

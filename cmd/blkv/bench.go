@@ -73,12 +73,6 @@ func measure(name string, reps int, fn func() error) (benchResult, error) {
 }
 
 func benchJSONCmd(args []string) error {
-	if len(args) > 0 && args[0] == "serve" {
-		return benchServeCmd(args[1:])
-	}
-	if len(args) > 0 && args[0] == "fleet" {
-		return benchFleetCmd(args[1:])
-	}
 	if len(args) > 0 && args[0] == "lint" {
 		return benchLintCmd(args[1:])
 	}

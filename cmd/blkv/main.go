@@ -53,10 +53,6 @@ func usage() {
   info       -i FILE
   decode     -i FILE [-raw FILE]
   bench-json [-o FILE] [-w W] [-h H] [-reps N]   time the parallel kernels, write JSON
-  bench-json serve [-o FILE] [-c N] [-n N] [-dup F] [-seed N]
-             drive an in-process blkd with and without the scenario cache, write JSON
-  bench-json fleet [-o FILE] [-sizes N,N,...] [-seed N]
-             batch-simulate the reference device population, delta vs scratch, write JSON
   bench-json lint [-o FILE] [-reps N]
              time a full-module blklint run, v2 analyzers vs v2+v3, write JSON`)
 }

@@ -1,6 +1,6 @@
 // Package cache provides the bounded LRU caches behind blkd's service
-// layer: the scenario-keyed result cache (LRU, holding response bodies)
-// and the value store under internal/memo's segment cache (LRUOf). Every
+// layer: the scenario-keyed result cache (NewLRU, holding response
+// bodies) and the value store under internal/memo's segment cache. Every
 // simulation in this repository is a pure function of its canonicalized
 // inputs (the determinism suite pins that invariant), so a cached value
 // is provably identical to what a fresh execution would produce — a hit
@@ -167,22 +167,8 @@ func (c *LRUOf[V]) Stats() Stats {
 	}
 }
 
-// LRU is the scenario result cache: an LRUOf specialized to response
-// bodies, kept as a named type so the server's call sites read as what
-// they are.
-type LRU struct {
-	LRUOf[[]byte]
-}
-
-// NewLRU returns a body cache holding at most capacity entries.
-// capacity <= 0 disables the cache entirely.
-func NewLRU(capacity int) *LRU {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &LRU{LRUOf[[]byte]{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-	}}
+// NewLRU returns a response-body cache holding at most capacity
+// entries. capacity <= 0 disables the cache entirely.
+func NewLRU(capacity int) *LRUOf[[]byte] {
+	return NewLRUOf[[]byte](capacity)
 }

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -212,6 +213,56 @@ func TestShardedClientMatchesRouter(t *testing.T) {
 	}
 	if len(healths) != 2 || healths[0].Status != "ok" || healths[1].Status != "ok" {
 		t.Fatalf("HealthAll = %+v", healths)
+	}
+}
+
+// TestRouterClientGone pins who gets blamed when a forward fails. A
+// request whose client is already gone gets the node's own answer
+// through the router — its status and an empty body — not a 502 naming
+// a healthy backend; a dead backend still gets 502 backend_unreachable.
+func TestRouterClientGone(t *testing.T) {
+	body := marshal(t, api.SessionRequest{Scheme: "burstlink", Resolution: "FHD", Refresh: 60, FPS: 30, Seconds: 2})
+	serve := func(h http.Handler, ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/session", bytes.NewReader(body)).WithContext(ctx))
+		return rec
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	node := server.New(server.Config{NodeID: "a"})
+	ts := httptest.NewServer(node.Handler())
+	defer ts.Close()
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Backends: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := serve(node.Handler(), canceled)
+	if direct.Code != http.StatusServiceUnavailable || direct.Body.Len() != 0 {
+		t.Fatalf("node answered a canceled request with %d %q, want a bare 503", direct.Code, direct.Body)
+	}
+	if routed := serve(rt.Handler(), canceled); routed.Code != direct.Code || routed.Body.Len() != 0 {
+		t.Errorf("router answered a canceled request with %d %q, want the node's %d and an empty body",
+			routed.Code, routed.Body, direct.Code)
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + l.Addr().String()
+	l.Close()
+	deadRt, err := cluster.NewRouter(cluster.RouterConfig{Backends: []string{deadURL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(deadRt.Handler(), context.Background())
+	var env struct {
+		Error *api.Error `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadGateway ||
+		env.Error == nil || env.Error.Code != "backend_unreachable" {
+		t.Errorf("dead backend: %d %q, want 502 backend_unreachable", rec.Code, rec.Body)
 	}
 }
 

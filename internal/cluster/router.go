@@ -108,7 +108,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, method, p
 	}
 	req, err := http.NewRequestWithContext(r.Context(), method, node+path, rd)
 	if err != nil {
-		writeRouterError(w, api.Errf(http.StatusInternalServerError, "bad_forward", "%v", err))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "bad_forward", "%v", err))
 		return
 	}
 	if body != nil {
@@ -116,7 +116,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, method, p
 	}
 	resp, err := rt.hc.Do(req)
 	if err != nil {
-		writeRouterError(w, api.Errf(http.StatusBadGateway, "backend_unreachable", "node %s: %v", node, err))
+		// A round trip cut short by the inbound request's own context
+		// says nothing about the node: answer as the node would.
+		if cerr := r.Context().Err(); cerr != nil {
+			api.WriteError(w, api.ContextError(cerr))
+			return
+		}
+		api.WriteError(w, api.Errf(http.StatusBadGateway, "backend_unreachable", "node %s: %v", node, err))
 		return
 	}
 	// Close failures after the copy carry no information we can act on.
@@ -164,12 +170,12 @@ func copyFlushing(w http.ResponseWriter, src io.Reader) {
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSessionRequest(r.Body)
 	if err != nil {
-		writeRouterAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	body, merr := json.Marshal(req)
 	if merr != nil {
-		writeRouterError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
 		return
 	}
 	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/session", body)
@@ -180,12 +186,12 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSweepRequest(r.Body)
 	if err != nil {
-		writeRouterAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	body, merr := json.Marshal(req)
 	if merr != nil {
-		writeRouterError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
 		return
 	}
 	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/sweep", body)
@@ -196,12 +202,12 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeFleetRequest(r.Body)
 	if err != nil {
-		writeRouterAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	body, merr := json.Marshal(req)
 	if merr != nil {
-		writeRouterError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
 		return
 	}
 	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/fleet", body)
@@ -230,7 +236,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		cs.Forwarded = append(cs.Forwarded, api.NodeCount{Node: node, Requests: rt.forwarded[i].Load()})
 		st, err := rt.fetchStats(r.Context(), node)
 		if err != nil {
-			writeRouterError(w, api.Errf(http.StatusBadGateway, "backend_unreachable", "node %s: %v", node, err))
+			api.WriteError(w, api.Errf(http.StatusBadGateway, "backend_unreachable", "node %s: %v", node, err))
 			return
 		}
 		cs.Nodes = append(cs.Nodes, st)
@@ -301,27 +307,10 @@ func (rt *Router) fetchJSON(ctx context.Context, url string, out any) error {
 func writeRouterJSON(w http.ResponseWriter, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		writeRouterError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", err))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// A short write means the client disconnected mid-response.
 	_, _ = w.Write(b)
-}
-
-// writeRouterAnyError maps any error onto the structured wire form.
-func writeRouterAnyError(w http.ResponseWriter, err error) {
-	if aerr, ok := err.(*api.Error); ok {
-		writeRouterError(w, aerr)
-		return
-	}
-	writeRouterError(w, api.Errf(http.StatusInternalServerError, "internal", "%v", err))
-}
-
-// writeRouterError writes a structured JSON error body.
-func writeRouterError(w http.ResponseWriter, aerr *api.Error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(aerr.Status)
-	// A failed error write means the client is gone; nothing to do.
-	_, _ = w.Write(api.EncodeError(aerr))
 }

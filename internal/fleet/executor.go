@@ -20,10 +20,6 @@ type Options struct {
 	// Memo is the shared delta-simulation segment cache; nil (or
 	// disabled) recomputes every segment.
 	Memo *memo.Cache
-	// Scratch forces the legacy full-expansion evaluation in every
-	// session — the baseline arm of the fleet bench. Results are
-	// bit-identical to the delta path.
-	Scratch bool
 	// Platform is the reference platform classes scale from; the zero
 	// value uses pipeline.DefaultPlatform.
 	Platform pipeline.Platform
@@ -186,10 +182,9 @@ func Run(ctx context.Context, pop Population, snk sink.Sink, opts Options) (Outc
 // produce identical floats.
 func (p Population) runDevice(d Device, opts Options) (deviceResult, error) {
 	eng := session.Engine{
-		P:       d.Class.Platform(opts.Platform),
-		M:       opts.Model,
-		Memo:    opts.Memo,
-		Scratch: opts.Scratch,
+		P:    d.Class.Platform(opts.Platform),
+		M:    opts.Model,
+		Memo: opts.Memo,
 	}
 	var eBase, eArm, hours float64 // mWh at the day scale
 	for _, seg := range d.Segments {

@@ -14,8 +14,8 @@ import (
 )
 
 // testPopulation is a cheap population for the determinism matrix: short
-// sessions keep the scratch (full-expansion) arm affordable in tests
-// while still exercising class scaling, content mixing, and dedup.
+// sessions keep the uncached arm affordable in tests while still
+// exercising class scaling, content mixing, and dedup.
 func testPopulation() Population {
 	return Population{
 		Size:     40,
@@ -93,8 +93,8 @@ func runArm(t *testing.T, pop Population, workers int, opts Options) []byte {
 
 // TestRunDeterminismMatrix pins the acceptance contract: the same seed
 // and population spec produce byte-identical aggregates regardless of
-// worker count (1 vs N), evaluation strategy (delta vs scratch), and
-// cache state (cold, warm, and a tiny cache that evicts mid-run).
+// worker count (1 vs N) and cache state (none, cold, warm, and a tiny
+// cache that evicts mid-run).
 func TestRunDeterminismMatrix(t *testing.T) {
 	pop := testPopulation()
 	want := runArm(t, pop, 1, Options{Memo: memo.NewCache(4096)})
@@ -107,7 +107,6 @@ func TestRunDeterminismMatrix(t *testing.T) {
 		opts    Options
 	}{
 		{"parallel-cold", 4, Options{Memo: memo.NewCache(4096)}},
-		{"scratch", 4, Options{Scratch: true}},
 		{"no-cache", 4, Options{}},
 		{"warm-first", 1, Options{Memo: warm}},
 		{"warm-second", 4, Options{Memo: warm}},

@@ -51,10 +51,24 @@ func ChangedPatterns(modRoot, ref string) ([]string, error) {
 		if !hasGoSource(filepath.Join(modRoot, dir)) {
 			continue // package deleted or tests-only
 		}
+		if inNestedModule(modRoot, dir) {
+			continue // another module; Load does not map it either
+		}
 		patterns = append(patterns, "./"+filepath.ToSlash(dir))
 	}
 	sort.Strings(patterns)
 	return patterns, nil
+}
+
+// inNestedModule reports whether dir, relative to modRoot, lies in a
+// module of its own: dir or a parent below modRoot holds a go.mod.
+func inNestedModule(modRoot, dir string) bool {
+	for d := dir; d != "."; d = filepath.Dir(d) {
+		if hasGoMod(filepath.Join(modRoot, d)) {
+			return true
+		}
+	}
+	return false
 }
 
 // gitLines runs git in dir and splits its stdout into non-empty lines.

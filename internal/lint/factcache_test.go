@@ -2,6 +2,7 @@ package lint
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -135,6 +136,49 @@ func TestFactCacheLockOrderAcrossPackages(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cycle findings must survive the cache round-trip:\ncold: %v\nwarm: %v", cold, warm)
+	}
+}
+
+// TestNestedModuleSkipped pins the module boundary: a directory below
+// the root that holds its own go.mod is another module, so neither
+// ./... nor -changed analyzes it, while a sibling package's finding is
+// still reported.
+func TestNestedModuleSkipped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads packages from source")
+	}
+	doubleClose := "\n\nfunc Bad() {\n\tch := make(chan int)\n\tclose(ch)\n\tclose(ch)\n}\n"
+	mod := writeTestModule(t, map[string]string{
+		"go.mod":           factTestGoMod,
+		"b/b.go":           "package b" + doubleClose,
+		"nested/go.mod":    "module nested\n\ngo 1.22\n",
+		"nested/nested.go": "package nested" + doubleClose,
+		"nested/n/n.go":    "package n" + doubleClose,
+	})
+	findings, _, err := RunCached(mod, t.TempDir(), []string{"./..."}, []*Analyzer{ChanCheck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || filepath.Base(findings[0].Pos.Filename) != "b.go" {
+		t.Fatalf("findings = %v, want only the double close in b", findings)
+	}
+
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not available for the -changed half")
+	}
+	for _, args := range [][]string{{"init", "-q"}, {"commit", "-q", "--allow-empty", "-m", "base"}} {
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = mod
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	patterns, err := ChangedPatterns(mod, "HEAD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(patterns, []string{"./b"}) {
+		t.Fatalf("changed patterns = %v, want [./b]", patterns)
 	}
 }
 

@@ -140,7 +140,9 @@ func newLoader(modRoot, modPath string) *loader {
 	}
 }
 
-// discover maps every package directory in the module to its import path.
+// discover maps every package directory in the module to its import
+// path. A directory below the root that holds its own go.mod is another
+// module, which the go tool's ./... skips too.
 func (ld *loader) discover() error {
 	return filepath.WalkDir(ld.modRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -150,7 +152,7 @@ func (ld *loader) discover() error {
 			return nil
 		}
 		name := d.Name()
-		if path != ld.modRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if path != ld.modRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || hasGoMod(path)) {
 			return filepath.SkipDir
 		}
 		if !hasGoSource(path) {
@@ -167,6 +169,12 @@ func (ld *loader) discover() error {
 		ld.dirs[imp] = path
 		return nil
 	})
+}
+
+// hasGoMod reports whether dir holds a go.mod, making it a module root.
+func hasGoMod(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }
 
 // hasGoSource reports whether dir directly contains a non-test .go file.

@@ -175,7 +175,7 @@ type call struct {
 // Cache is the bounded, concurrency-safe segment cache: an LRU of
 // segment outputs keyed by canonical input hashes, with singleflight
 // coalescing so concurrent sweep cells that need the same segment run it
-// once. A nil *Cache is the scratch mode: every Do computes directly.
+// once. With a nil *Cache every Do computes directly.
 //
 // Cached values are aliased, never copied. Segment outputs are immutable
 // by contract; Do's compute functions must return values that are never
@@ -273,7 +273,7 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 // Do returns the segment output for input in, computing it at most once
 // per cache residency: a hit returns the cached value, concurrent
 // misses coalesce onto one execution, and a nil or disabled cache
-// computes directly (scratch mode). The cached value is aliased:
+// computes directly. The cached value is aliased:
 // compute must return a value that is never mutated afterwards.
 //
 // Types that implement Clone() T opt into the deep-copy-on-get guard:

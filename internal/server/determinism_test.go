@@ -1,11 +1,11 @@
 package server
 
-// Satellite of the service PR: the determinism invariant, extended to the
-// wire. Two independent blkd instances given the same request sequence —
-// in different orders and under different interleavings — must produce
-// byte-identical response bodies per request, with the cache on and off.
-// This is the property that makes the scenario cache sound: a cached body
-// is indistinguishable from a recomputed one.
+// The determinism invariant, extended to the wire. Two independent blkd
+// instances given the same request sequence — in different orders and
+// under different interleavings — must produce byte-identical response
+// bodies per request, and a body served from the cache must match one
+// computed cold. This is the property that makes the scenario cache
+// sound: a cached body is indistinguishable from a recomputed one.
 
 import (
 	"bytes"
@@ -101,9 +101,6 @@ func TestWireDeterminism(t *testing.T) {
 		cfg  Config
 	}{
 		{"cache-on-delta-on", Config{}},
-		{"cache-off-delta-on", Config{DisableCache: true, DisableCoalesce: true}},
-		{"cache-on-delta-off", Config{DisableDelta: true}},
-		{"cache-off-delta-off", Config{DisableCache: true, DisableCoalesce: true, DisableDelta: true}},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
@@ -143,8 +140,7 @@ func TestWireDeterminism(t *testing.T) {
 			}
 
 			// Duplicates within one instance are byte-identical too
-			// (on instance A the second copy came from the cache when
-			// caching is on, from a fresh run when it is off).
+			// (on instance A the second copy came from the cache).
 			for _, dup := range [][2]int{{1, 5}, {0, 6}, {10, 11}} {
 				if !bytes.Equal(bodiesA[dup[0]], bodiesA[dup[1]]) {
 					t.Errorf("A: duplicate requests %d and %d produced different bodies", dup[0], dup[1])
@@ -154,39 +150,41 @@ func TestWireDeterminism(t *testing.T) {
 	}
 }
 
-// TestCacheTransparency pins that the same sequence against a caching
-// instance and a cache-disabled instance yields identical bodies: the
-// cache is observable only through X-Cache and speed, never content.
+// TestCacheTransparency pins that the same sequence against one caching
+// instance and against a fresh instance per request (every body computed
+// cold) yields identical bodies: the cache is observable only through
+// X-Cache and speed, never content.
 func TestCacheTransparency(t *testing.T) {
 	seq := determinismSequence(t)
-	run := func(cfg Config) [][]byte {
-		ts := httptest.NewServer(New(cfg).Handler())
-		defer ts.Close()
-		bodies := make([][]byte, len(seq))
-		for i, r := range seq {
-			status, body := replay(t, ts.URL, r)
-			if status != 200 {
-				t.Fatalf("request %d: status %d: %s", i, status, body)
-			}
-			bodies[i] = body
+	send := func(ts *httptest.Server, i int) []byte {
+		status, body := replay(t, ts.URL, seq[i])
+		if status != 200 {
+			t.Fatalf("request %d: status %d: %s", i, status, body)
 		}
-		return bodies
+		return body
 	}
-	cached := run(Config{})
-	uncached := run(Config{DisableCache: true, DisableCoalesce: true})
+	cached := make([][]byte, len(seq))
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
 	for i := range seq {
-		if !bytes.Equal(cached[i], uncached[i]) {
-			t.Errorf("request %d (%s): cached and uncached bodies differ", i, fmt.Sprintf("%s %s", seq[i].method, seq[i].path))
+		cached[i] = send(ts, i)
+	}
+	for i := range seq {
+		fresh := httptest.NewServer(New(Config{}).Handler())
+		cold := send(fresh, i)
+		fresh.Close()
+		if !bytes.Equal(cached[i], cold) {
+			t.Errorf("request %d (%s): cached and cold bodies differ", i, fmt.Sprintf("%s %s", seq[i].method, seq[i].path))
 		}
 	}
 }
 
 // TestDeltaTransparency pins the delta-simulation contract on the wire:
-// a memoized (segment-cached, period-folded) instance and a cold-scratch
-// instance (full timeline expansion, no segment reuse) produce
-// byte-identical bodies for the same sequence — across every cell of the
-// result-cache × delta matrix. Delta simulation is observable only
-// through /v1/stats and speed, never content.
+// whether a body's segments hit, miss, or were evicted, it is
+// byte-identical for the same sequence. Delta simulation is observable
+// only through /v1/stats and speed, never content. (That the period
+// fold matches the full timeline expansion is pinned in session's
+// engine_test.go.)
 func TestDeltaTransparency(t *testing.T) {
 	seq := determinismSequence(t)
 	run := func(cfg Config) [][]byte {
@@ -206,10 +204,12 @@ func TestDeltaTransparency(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"cache-on-delta-on", Config{}},
-		{"cache-off-delta-on", Config{DisableCache: true, DisableCoalesce: true}},
-		{"cache-on-delta-off", Config{DisableDelta: true}},
-		{"cache-off-delta-off", Config{DisableCache: true, DisableCoalesce: true, DisableDelta: true}},
+		{"default", Config{}},
+		// Repeats miss the one-entry result cache and recompute over
+		// warm segments.
+		{"result-cache-1", Config{CacheEntries: 1}},
+		// Segments evict between every step of a run.
+		{"segment-cache-1", Config{SegmentCacheEntries: 1}},
 	}
 	ref := run(arms[0].cfg)
 	for _, arm := range arms[1:] {
@@ -224,8 +224,7 @@ func TestDeltaTransparency(t *testing.T) {
 }
 
 // TestStatsExposeSegmentCounters: after a sweep-shaped run the /v1/stats
-// document carries live segment-cache numbers (and a scratch instance
-// reports them as zero).
+// document carries live segment-cache numbers.
 func TestStatsExposeSegmentCounters(t *testing.T) {
 	seq := determinismSequence(t)
 	stats := func(cfg Config) api.Stats {
@@ -243,15 +242,11 @@ func TestStatsExposeSegmentCounters(t *testing.T) {
 		}
 		return st
 	}
-	on := stats(Config{DisableCache: true, DisableCoalesce: true})
-	if on.SegmentMisses == 0 || on.SegmentHits == 0 {
-		t.Fatalf("segment counters not live: %+v", on)
+	st := stats(Config{})
+	if st.SegmentMisses == 0 || st.SegmentHits == 0 {
+		t.Fatalf("segment counters not live: %+v", st)
 	}
-	if on.SegmentHitRatio <= 0 || on.SegmentHitRatio >= 1 {
-		t.Fatalf("segment hit ratio out of range: %v", on.SegmentHitRatio)
-	}
-	off := stats(Config{DisableCache: true, DisableCoalesce: true, DisableDelta: true})
-	if off.SegmentHits != 0 || off.SegmentMisses != 0 || off.SegmentEntries != 0 {
-		t.Fatalf("scratch instance reported segment activity: %+v", off)
+	if st.SegmentHitRatio <= 0 || st.SegmentHitRatio >= 1 {
+		t.Fatalf("segment hit ratio out of range: %v", st.SegmentHitRatio)
 	}
 }

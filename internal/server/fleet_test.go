@@ -11,8 +11,8 @@ import (
 	"burstlink/internal/par"
 )
 
-// testFleetRequest is a small population with short sessions so the
-// scratch (full-expansion) arm stays affordable in tests.
+// testFleetRequest is a small population with short sessions so every
+// fleet test stays cheap.
 func testFleetRequest() api.FleetRequest {
 	return api.FleetRequest{
 		Size: 30,
@@ -71,8 +71,7 @@ func TestFleetEndpoint(t *testing.T) {
 }
 
 // TestFleetWireDeterminism pins the acceptance contract at the wire:
-// byte-identical bodies across worker counts, cache arms, and the
-// scratch vs delta evaluation strategies — each from a fresh server.
+// byte-identical bodies across worker counts, each from a fresh server.
 func TestFleetWireDeterminism(t *testing.T) {
 	run := func(cfg Config, workers int) []byte {
 		defer par.SetWorkers(par.SetWorkers(workers))
@@ -90,9 +89,6 @@ func TestFleetWireDeterminism(t *testing.T) {
 		workers int
 	}{
 		{"parallel", Config{}, 4},
-		{"scratch", Config{DisableDelta: true}, 4},
-		{"no result cache", Config{DisableCache: true}, 4},
-		{"no coalescing", Config{DisableCoalesce: true}, 2},
 	}
 	for _, arm := range arms {
 		if got := run(arm.cfg, arm.workers); !bytes.Equal(got, want) {

@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -69,16 +68,6 @@ type Config struct {
 	// SegmentCacheEntries sizes the delta-simulation segment cache that
 	// sits under the result cache (default 8192).
 	SegmentCacheEntries int
-	// DisableCache turns the result cache off (the bench harness's
-	// comparison mode).
-	DisableCache bool
-	// DisableDelta turns delta simulation off entirely: no segment
-	// cache, and sessions evaluate their full expanded timelines from
-	// scratch (the bench harness's scratch arm). Results are
-	// bit-identical either way — the determinism tests pin it.
-	DisableDelta bool
-	// DisableCoalesce turns off in-flight request coalescing.
-	DisableCoalesce bool
 	// RequestTimeout is the per-request execution deadline (default 30s).
 	RequestTimeout time.Duration
 	// DrainTimeout bounds the graceful drain on shutdown (default 10s).
@@ -126,7 +115,7 @@ type Server struct {
 	p      pipeline.Platform
 	m      power.Model
 	eng    session.Engine
-	cache  *cache.LRU
+	cache  *cache.LRUOf[[]byte]
 	flight *flightGroup
 	gate   *par.Gate
 	mux    *http.ServeMux
@@ -144,21 +133,13 @@ type Server struct {
 // New builds a Server over the default platform and power model.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	entries := cfg.CacheEntries
-	if cfg.DisableCache {
-		entries = 0
-	}
-	segEntries := cfg.SegmentCacheEntries
-	if cfg.DisableDelta {
-		segEntries = 0
-	}
 	p, m := pipeline.DefaultPlatform(), power.Default()
 	s := &Server{
 		cfg:    cfg,
 		p:      p,
 		m:      m,
-		eng:    session.Engine{P: p, M: m, Memo: memo.NewCache(segEntries), Scratch: cfg.DisableDelta},
-		cache:  cache.NewLRU(entries),
+		eng:    session.Engine{P: p, M: m, Memo: memo.NewCache(cfg.SegmentCacheEntries)},
+		cache:  cache.NewLRU(cfg.CacheEntries),
 		flight: newFlightGroup(),
 		gate:   par.NewGate(cfg.MaxConcurrent),
 		mux:    http.NewServeMux(),
@@ -189,7 +170,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 				s.queued.Add(-1)
 				s.rejected.Add(1)
 				w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
-				writeError(w, api.Errf(http.StatusTooManyRequests, "saturated",
+				api.WriteError(w, api.Errf(http.StatusTooManyRequests, "saturated",
 					"execution slots and queue are full; retry after %ds", s.cfg.RetryAfterSeconds))
 				return
 			}
@@ -218,25 +199,15 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // execute produces the response body for key: result cache first, then
-// (unless coalescing is off) attach to or lead the in-flight execution
-// of the same scenario, then compute. Successful bodies are cached.
+// attach to or lead the in-flight execution of the same scenario, then
+// compute. Successful bodies are cached.
 func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte, *api.Error)) ([]byte, api.CacheStatus, *api.Error) {
-	if s.cache.Enabled() {
-		if body, ok := s.cache.Get(key); ok {
-			s.hits.Add(1)
-			return body, api.CacheHit, nil
-		}
+	if body, ok := s.cache.Get(key); ok {
+		s.hits.Add(1)
+		return body, api.CacheHit, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, "", timeoutError(err)
-	}
-	if s.cfg.DisableCoalesce {
-		body, aerr := compute()
-		if aerr == nil {
-			s.misses.Add(1)
-			s.cache.Put(key, body)
-		}
-		return body, api.CacheMiss, aerr
+		return nil, "", api.ContextError(err)
 	}
 	body, aerr, leader := s.flight.Do(key, func() ([]byte, *api.Error) {
 		body, aerr := compute()
@@ -258,7 +229,7 @@ func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte
 // runSession executes one normalized, validated session request.
 func (s *Server) runSession(ctx context.Context, req api.SessionRequest) ([]byte, *api.Error) {
 	if err := ctx.Err(); err != nil {
-		return nil, timeoutError(err)
+		return nil, api.ContextError(err)
 	}
 	cfg, err := req.ToConfig()
 	if err != nil {
@@ -288,7 +259,7 @@ func (s *Server) runSession(ctx context.Context, req api.SessionRequest) ([]byte
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSessionRequest(r.Body)
 	if err != nil {
-		writeAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	body, status, aerr := s.execute(r.Context(), req.CacheKey(), func() ([]byte, *api.Error) {
@@ -304,7 +275,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSweepRequest(r.Body)
 	if err != nil {
-		writeAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	sweepKey := req.CacheKey()
@@ -341,12 +312,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runFleet executes one normalized, validated fleet request into the
-// final response body. The executor shares the server's segment cache
-// and scratch arm, so fleet devices reuse segments that session and
-// sweep requests already computed (and vice versa).
+// final response body. The executor shares the server's segment cache,
+// so fleet devices reuse segments that session and sweep requests
+// already computed (and vice versa).
 func (s *Server) runFleet(ctx context.Context, req api.FleetRequest, progress func(done, total int)) ([]byte, *api.Error) {
 	if err := ctx.Err(); err != nil {
-		return nil, timeoutError(err)
+		return nil, api.ContextError(err)
 	}
 	pop, err := req.ToPopulation()
 	if err != nil {
@@ -355,14 +326,13 @@ func (s *Server) runFleet(ctx context.Context, req api.FleetRequest, progress fu
 	var agg sink.Agg
 	out, err := fleet.Run(ctx, pop, &agg, fleet.Options{
 		Memo:     s.eng.Memo,
-		Scratch:  s.cfg.DisableDelta,
 		Platform: s.p,
 		Model:    s.m,
 		Progress: progress,
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, timeoutError(cerr)
+			return nil, api.ContextError(cerr)
 		}
 		// A valid spec can still sample an infeasible scenario on some
 		// class × content combination at simulation depth.
@@ -386,7 +356,7 @@ func (s *Server) runFleet(ctx context.Context, req api.FleetRequest, progress fu
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeFleetRequest(r.Body)
 	if err != nil {
-		writeAnyError(w, err)
+		api.WriteError(w, err)
 		return
 	}
 	if req.Stream {
@@ -445,7 +415,7 @@ func (s *Server) handleExp(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, err := exp.ByID(id)
 	if err != nil {
-		writeError(w, api.Errf(http.StatusNotFound, "unknown_experiment", "%v", err))
+		api.WriteError(w, api.Errf(http.StatusNotFound, "unknown_experiment", "%v", err))
 		return
 	}
 	body, status, aerr := s.execute(r.Context(), api.ExpCacheKey(id), func() ([]byte, *api.Error) {
@@ -515,7 +485,7 @@ func (s *Server) NodeHealth() api.Health {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
-		writeError(w, api.Errf(http.StatusInternalServerError, "snapshot_failed", "%v", err))
+		api.WriteError(w, api.Errf(http.StatusInternalServerError, "snapshot_failed", "%v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -583,16 +553,6 @@ func (s *Server) Stats() api.Stats {
 	return st
 }
 
-// timeoutError maps a context error onto the wire: deadline exhaustion
-// is a 504, a client cancellation needs no body at all (the peer is
-// gone) but is reported as 499 internally.
-func timeoutError(err error) *api.Error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return api.Errf(http.StatusGatewayTimeout, "timeout", "request deadline exceeded")
-	}
-	return api.Errf(499, "canceled", "client canceled the request")
-}
-
 // marshalBody encodes v, mapping the (practically impossible) encode
 // failure to a 500.
 func marshalBody(v any) ([]byte, *api.Error) {
@@ -607,7 +567,7 @@ func marshalBody(v any) ([]byte, *api.Error) {
 // error that replaced it.
 func writeResult(w http.ResponseWriter, body []byte, status api.CacheStatus, aerr *api.Error) {
 	if aerr != nil {
-		writeAnyError(w, aerr)
+		api.WriteError(w, aerr)
 		return
 	}
 	if status != "" {
@@ -616,29 +576,6 @@ func writeResult(w http.ResponseWriter, body []byte, status api.CacheStatus, aer
 	w.Header().Set("Content-Type", "application/json")
 	// A short write means the client disconnected mid-response.
 	_, _ = w.Write(body)
-}
-
-// writeAnyError writes err as a structured JSON error, defaulting
-// non-api errors to 500.
-func writeAnyError(w http.ResponseWriter, err error) {
-	var aerr *api.Error
-	if !errors.As(err, &aerr) {
-		aerr = api.Errf(http.StatusInternalServerError, "internal", "%v", err)
-	}
-	if aerr.Status == 499 {
-		// Client is gone; suppress the body but still end the exchange.
-		w.WriteHeader(http.StatusServiceUnavailable)
-		return
-	}
-	writeError(w, aerr)
-}
-
-// writeError writes a structured JSON error body.
-func writeError(w http.ResponseWriter, aerr *api.Error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(aerr.Status)
-	// A failed error write means the client is gone; nothing to do.
-	_, _ = w.Write(api.EncodeError(aerr))
 }
 
 // ListenAndServe listens on cfg.Addr and serves until ctx is canceled,

@@ -338,13 +338,15 @@ func TestFlightCoalesces(t *testing.T) {
 	}
 }
 
-// TestCoalescingHTTP drives coalescing end to end: with the cache off,
-// concurrent identical requests can only avoid recomputation by
-// attaching to the in-flight leader.
+// TestCoalescingHTTP drives coalescing end to end: a fresh server
+// misses, so concurrent identical requests that arrive while the leader
+// computes attach to its in-flight execution. Requests arriving after
+// it finishes hit the cache, so the leader's run is the only window:
+// the longest session keeps it open for tens of milliseconds.
 func TestCoalescingHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableCache: true, MaxConcurrent: 16})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 16})
 	req := testRequest()
-	req.Seconds = 120
+	req.Seconds = api.MaxSeconds
 	defer par.SetWorkers(par.SetWorkers(8))
 	statuses := par.Map(8, func(i int) string {
 		_, hdr, _ := post(t, ts.URL+"/v1/session", req)
@@ -368,7 +370,7 @@ func TestCoalescingHTTP(t *testing.T) {
 // the one queue position, and requires the next request to bounce with
 // 429 + Retry-After — deterministically, no timing assumptions.
 func TestBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1, DisableCache: true, DisableCoalesce: true})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
 	if !s.gate.TryAcquire() {
 		t.Fatal("fresh gate has no slot")
 	}
@@ -446,7 +448,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond, DisableCache: true, DisableCoalesce: true})
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	status, _, body := post(t, ts.URL+"/v1/session", testRequest())
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", status, body)

@@ -20,23 +20,17 @@ import (
 // knob invalidates: changing bitrate reuses the timeline and power
 // segments, changing seconds reuses all three (ExtendPeriod re-folds
 // the cached per-period evaluation), changing the scheme reuses the
-// buffer segment. Results are bit-identical to the scratch path — the
-// segments recompose the exact float folds Run has always performed —
-// so memoization is invisible on the wire (the server's determinism
-// test pins this).
+// buffer segment. Results are bit-identical to evaluating the fully
+// expanded session timeline — the period fold recomposes the exact
+// float folds of Evaluate(period.Repeat(frames)), which engine_test.go
+// and power/repeat_test.go keep as the oracle — so memoization is
+// invisible on the wire (the server's determinism test pins this).
 type Engine struct {
 	P pipeline.Platform
 	M power.Model
 	// Memo is the segment cache; nil (or disabled) recomputes every
 	// segment from scratch.
 	Memo *memo.Cache
-	// Scratch forces the legacy full-expansion evaluation: the period
-	// timeline is materialized Repeat(frames) long and folded phase by
-	// phase, with no segment cache and no period folding. It exists as
-	// the baseline arm of the delta bench and the determinism matrix —
-	// its results are bit-identical to the delta path (pinned by
-	// engine_test.go and power/repeat_test.go).
-	Scratch bool
 }
 
 // bufferInput is the canonical input of the buffer-delivery segment.
@@ -88,14 +82,6 @@ func (t timelineInput) AppendKey(w *memo.KeyWriter) {
 // jitterCapacity is the fixed jitter-buffer size sessions play through.
 const jitterCapacity = 64 * units.MB
 
-// cache returns the segment cache to run under: none in scratch mode.
-func (e Engine) cache() *memo.Cache {
-	if e.Scratch {
-		return nil
-	}
-	return e.Memo
-}
-
 // bufferStats runs the buffer-delivery segment. The steady default
 // network goes through the segment cache; an explicit bandwidth trace is
 // opaque (not canonically keyable) and is simulated from scratch.
@@ -122,7 +108,7 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 		Prebuf:    prebuf,
 		Capacity:  jitterCapacity,
 	}
-	return memo.Do(e.cache(), "buffer", in, func() (stream.Stats, error) {
+	return memo.Do(e.Memo, "buffer", in, func() (stream.Stats, error) {
 		return run(stream.ConstantBandwidth(bw))
 	})
 }
@@ -131,7 +117,7 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 // of the scheme on the platform, memoized by (scheme, scenario,
 // platform). Cached timelines are shared read-only across cells.
 func (e Engine) periodTimeline(sch Scheme, s pipeline.Scenario) (trace.Timeline, error) {
-	return memo.Do(e.cache(), "timeline", timelineInput{Scheme: sch, Scenario: s, Platform: e.P},
+	return memo.Do(e.Memo, "timeline", timelineInput{Scheme: sch, Scenario: s, Platform: e.P},
 		func() (trace.Timeline, error) { return sch.scheduler()(e.P, s) })
 }
 
@@ -169,16 +155,9 @@ func (e Engine) Run(cfg Config) (Result, error) {
 	}
 
 	// Segment 3: power integration over the period, then an exact
-	// extension to the full session length. Scratch mode expands the
-	// whole session timeline and folds it phase by phase instead.
-	load := power.LoadOf(e.P, s)
-	var res power.Result
-	if e.Scratch {
-		res = e.M.Evaluate(period.Repeat(frames), load)
-	} else {
-		pe := e.M.EvaluatePeriodMemo(e.Memo, period, load)
-		res = e.M.ExtendPeriod(pe, frames)
-	}
+	// extension to the full session length.
+	pe := e.M.EvaluatePeriodMemo(e.Memo, period, power.LoadOf(e.P, s))
+	res := e.M.ExtendPeriod(pe, frames)
 
 	bat := cfg.Battery
 	if bat.CapacityMilliWattHours == 0 {

@@ -5,19 +5,32 @@ import (
 
 	"burstlink/internal/memo"
 	"burstlink/internal/pipeline"
+	"burstlink/internal/power"
 	"burstlink/internal/stream"
 	"burstlink/internal/units"
 )
 
+// fullExpansion is the oracle the period fold must match: the scheme's
+// scheduled period materialized Repeat(frames) long and evaluated phase
+// by phase, with no segment cache and no period folding.
+func fullExpansion(t *testing.T, p pipeline.Platform, m power.Model, cfg Config) power.Result {
+	t.Helper()
+	period, err := cfg.Scheme.scheduler()(p, cfg.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Evaluate(period.Repeat(cfg.Seconds*int(cfg.Scenario.FPS)), power.LoadOf(p, cfg.Scenario))
+}
+
 // TestEngineMemoBitIdentical: every (scheme, scenario, length, bitrate)
 // cell must produce the exact same Result through the segment cache —
-// cold and warm — as the scratch path. Exact struct equality, not
-// tolerance: the server's wire determinism depends on memoization being
-// invisible.
+// cold and warm — as the uncached engine, and the same power and energy
+// as the full-expansion oracle. Exact equality, not tolerance: the
+// server's wire determinism depends on memoization being invisible.
 func TestEngineMemoBitIdentical(t *testing.T) {
 	p, m := env()
 	eng := Engine{P: p, M: m, Memo: memo.NewCache(256)}
-	scratch := Engine{P: p, M: m}
+	uncached := Engine{P: p, M: m}
 	vrScenario := pipeline.Scenario{
 		Res:     units.Resolution{Width: 2 * units.VR1080.Width, Height: units.VR1080.Height},
 		Refresh: 60, FPS: 60, BPP: 24,
@@ -33,17 +46,15 @@ func TestEngineMemoBitIdentical(t *testing.T) {
 			for _, sec := range []int{5, 20} {
 				for _, br := range []units.DataRate{0, 40 * units.Mbps} {
 					cfg := Config{Scenario: s, Scheme: sch, Seconds: sec, Bitrate: br}
-					want, err := scratch.Run(cfg)
+					want, err := uncached.Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					// The legacy full-expansion path must agree too.
-					legacy, err := Engine{P: p, M: m, Scratch: true}.Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if legacy != want {
-						t.Fatalf("%v %v %ds: full expansion %+v != folded %+v", s, sch, sec, legacy, want)
+					// The full expansion must agree too.
+					full := fullExpansion(t, p, m, cfg)
+					if full.Average != want.AvgPower || full.Energy != want.Energy {
+						t.Fatalf("%v %v %ds: full expansion %v mW/%v mJ != folded %v mW/%v mJ", s, sch, sec,
+							float64(full.Average), float64(full.Energy), float64(want.AvgPower), float64(want.Energy))
 					}
 					// Twice: cold fill then warm hit must both match.
 					for pass := 0; pass < 2; pass++ {
@@ -52,7 +63,7 @@ func TestEngineMemoBitIdentical(t *testing.T) {
 							t.Fatal(err)
 						}
 						if got != want {
-							t.Fatalf("%v %v %ds pass %d: memoized %+v != scratch %+v",
+							t.Fatalf("%v %v %ds pass %d: memoized %+v != uncached %+v",
 								s, sch, sec, pass, got, want)
 						}
 					}
