@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository check: tier-1 build+test, race detector, vet, formatting
-# (simplify mode), domain static analysis (blklint), fuzz smoke, and the
-# benchmark's smoke test (every workload through its correctness gate).
+# (simplify mode), domain static analysis (blklint) and its per-analyzer
+# benchmark, fuzz smoke, and the benchmark's smoke test (every workload
+# through its correctness gate).
 # See README.md "Testing & verification" and "Static analysis".
 set -e
 
@@ -76,6 +77,13 @@ if [ -z "$cached" ] || [ "$cached" -eq 0 ]; then
     exit 1
 fi
 echo "warm run served $cached packages from cache"
+
+# blklint's timings (module load, each analyzer, the full set, a warm
+# fact-cache re-lint) live in one go test benchmark; one iteration of
+# each keeps it from rotting. For timings with a spread, drop -benchtime
+# and pass -count N.
+echo "== blklint analyzer benchmark (one iteration each)"
+go test -run '^$' -bench BenchmarkAnalyzers -benchtime 1x ./internal/lint
 
 # Suppression budget: every //lint:ignore is a debt with a written
 # reason; the count may only change deliberately, with this number.

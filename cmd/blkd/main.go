@@ -9,7 +9,7 @@
 //	blkd [-addr :8080] [-cache 4096] [-segcache 8192] [-concurrency N]
 //	     [-queue 64] [-timeout 30s] [-drain 10s]
 //	     [-node NAME] [-warm snapshot.gob]
-//	blkd -route http://node1:8080,http://node2:8080 [-vnodes 128]
+//	blkd -route http://node1:8080,http://node2:8080
 //
 // -cache and -segcache size the result and segment caches; both are
 // always on, so each needs at least one entry.
@@ -28,10 +28,11 @@
 //
 // With -route, blkd runs as a thin cluster router instead of a compute
 // node: each request is canonicalized to its result-cache key and
-// forwarded to the consistent-hash owner among the listed backends, so
-// every scenario's cache entry lives on exactly one node. With -warm,
-// a compute node imports a snapshot (taken via GET /v1/snapshot from a
-// previous instance) before serving, restarting with its caches hot.
+// forwarded to the consistent-hash owner among the listed backends
+// (cluster.DefaultVNodes virtual nodes each), so every scenario's cache
+// entry lives on exactly one node. With -warm, a compute node imports a
+// snapshot (taken via GET /v1/snapshot from a previous instance) before
+// serving, restarting with its caches hot.
 //
 // blkd drains gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests finish (bounded by -drain), then the process exits.
@@ -46,6 +47,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -65,7 +67,6 @@ func main() {
 	node := fs.String("node", "", "node name reported in /v1/health and /v1/stats (default blkd)")
 	warm := fs.String("warm", "", "import a cache snapshot file before serving (warm restart)")
 	route := fs.String("route", "", "run as a cluster router over these comma-separated backend URLs")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the routing ring")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(0)
@@ -81,7 +82,7 @@ func main() {
 	defer stop()
 
 	if *route != "" {
-		if err := runRouter(ctx, *addr, *node, *route, *vnodes, *drain); err != nil {
+		if err := runRouter(ctx, *addr, *node, *route, *drain); err != nil {
 			fmt.Fprintln(os.Stderr, "blkd:", err)
 			os.Exit(1)
 		}
@@ -125,12 +126,11 @@ func main() {
 
 // runRouter serves the consistent-hash routing handler on addr until
 // ctx is canceled, reusing the compute node's drain lifecycle.
-func runRouter(ctx context.Context, addr, node, route string, vnodes int, drain time.Duration) error {
-	backends := cluster.SplitMembers(route)
+func runRouter(ctx context.Context, addr, node, route string, drain time.Duration) error {
+	backends := splitMembers(route)
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Node:     node,
 		Backends: backends,
-		VNodes:   vnodes,
 	})
 	if err != nil {
 		return err
@@ -139,6 +139,18 @@ func runRouter(ctx context.Context, addr, node, route string, vnodes int, drain 
 	if err != nil {
 		return err
 	}
-	log.Printf("blkd routing on %s over %d backends (vnodes=%d)", addr, len(backends), vnodes)
+	log.Printf("blkd routing on %s over %d backends", addr, len(backends))
 	return server.ServeHandler(ctx, l, rt.Handler(), drain)
+}
+
+// splitMembers parses -route's comma-separated membership list
+// ("url1,url2"), trimming whitespace and dropping empty items.
+func splitMembers(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if p := strings.TrimSpace(part); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }

@@ -10,25 +10,23 @@
 //
 //	blkload [-url http://127.0.0.1:8080] [-c 64] [-n 2000]
 //	        [-dup 0.5] [-sweep] [-seed 1] [-json report.json]
-//	blkload -cluster http://node1:8080,http://node2:8080 [-vnodes 128] ...
+//
+// -url names one blkd node or a cluster router (`blkd -route`); the
+// router forwards each request to the ring owner of its canonical key.
 //
 // -sweep switches the schedule to an axis-neighbor walk (each new
 // configuration moves exactly one knob), the sweep-shaped workload the
 // server's delta-simulation segment cache exploits. After the run,
 // blkload samples GET /v1/stats and reports the server-side segment
-// cache counters alongside the client-observed result cache ratios.
+// cache counters alongside the client-observed result cache ratios:
+// one line for a node, or one per member, with the router's forwarded
+// count, for a router.
 //
 // -fleet switches blkload from many session requests to one population
 // request: POST /v1/fleet with -n devices and -seed as the population
 // seed, streamed so progress renders live. The report becomes
 // devices/sec plus the aggregate battery-impact percentiles, and the
 // segment-cache counters show how much the fleet's devices shared.
-//
-// -cluster drives the same schedule through client-side consistent-hash
-// sharding over the listed nodes: each request goes straight to the
-// ring owner of its canonical cache key. After the run, blkload reports
-// every node's counters and the per-node ownership skew (requests
-// versus a perfectly even split).
 package main
 
 import (
@@ -37,18 +35,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"burstlink/internal/api"
-	"burstlink/internal/cluster"
 )
 
 func main() {
 	fs := flag.NewFlagSet("blkload", flag.ContinueOnError)
-	url := fs.String("url", "http://127.0.0.1:8080", "blkd base URL")
-	clusterURLs := fs.String("cluster", "", "comma-separated node URLs for client-side consistent-hash sharding (overrides -url)")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the sharding ring")
+	url := fs.String("url", "http://127.0.0.1:8080", "blkd node or router base URL")
 	c := fs.Int("c", 64, "closed-loop worker count")
 	n := fs.Int("n", 2000, "total requests")
 	dup := fs.Float64("dup", 0.5, "fraction of requests duplicating an earlier one [0,1)")
@@ -61,14 +57,6 @@ func main() {
 			os.Exit(0)
 		}
 		os.Exit(2)
-	}
-
-	if *clusterURLs != "" {
-		if err := runCluster(*clusterURLs, *vnodes, *c, *n, *dup, *sweep, *seed, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "blkload:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	client := api.NewClient(*url)
@@ -97,9 +85,7 @@ func main() {
 	}
 
 	printReport(os.Stdout, report)
-	if stats, err := client.Stats(context.Background()); err == nil {
-		printSegmentStats(os.Stdout, stats)
-	} else {
+	if err := printServerStats(context.Background(), os.Stdout, client); err != nil {
 		fmt.Fprintln(os.Stderr, "blkload: stats:", err)
 	}
 	if report.Errors > 0 {
@@ -122,84 +108,6 @@ func main() {
 	if report.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-// clusterReport is the JSON form of a sharded load run: the load
-// report plus every node's counters and the observed ownership skew.
-type clusterReport struct {
-	Nodes  []string       `json:"nodes"`
-	VNodes int            `json:"vnodes"`
-	Load   api.LoadReport `json:"load"`
-	Stats  []api.Stats    `json:"node_stats"`
-	// Skew is max per-node requests over the even share (1.0 = perfectly
-	// balanced).
-	Skew float64 `json:"skew"`
-}
-
-// runCluster drives the session schedule through client-side sharding
-// and reports per-node counters and the ownership skew.
-func runCluster(urls string, vnodes, c, n int, dup float64, sweep bool, seed int64, jsonOut string) error {
-	members := cluster.SplitMembers(urls)
-	sc, ring, err := cluster.NewShardedClient(members, vnodes)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if err := sc.Health(ctx); err != nil {
-		return err
-	}
-	before, err := sc.StatsAll(ctx)
-	if err != nil {
-		return err
-	}
-	report, err := api.RunLoad(ctx, sc, api.LoadOptions{
-		Concurrency: c,
-		Requests:    n,
-		DupRate:     dup,
-		Sweep:       sweep,
-		Seed:        seed,
-		Now:         time.Now,
-	})
-	if err != nil {
-		return err
-	}
-	after, err := sc.StatsAll(ctx)
-	if err != nil {
-		return err
-	}
-
-	printReport(os.Stdout, report)
-	rep := clusterReport{Nodes: ring.Nodes(), VNodes: ring.VNodes(), Load: report, Stats: after}
-	even := float64(report.Requests) / float64(len(after))
-	for i, st := range after {
-		sent := st.Requests - before[i].Requests
-		fmt.Printf("node %-28s %6d requests  %d hits, %d coalesced, %d misses (%d cached entries)\n",
-			st.Node, sent, st.CacheHits-before[i].CacheHits, st.Coalesced-before[i].Coalesced,
-			st.CacheMisses-before[i].CacheMisses, st.CacheEntries)
-		if even > 0 && float64(sent)/even > rep.Skew {
-			rep.Skew = float64(sent) / even
-		}
-	}
-	fmt.Printf("skew        %.2fx the even share across %d nodes (vnodes=%d)\n", rep.Skew, len(after), ring.VNodes())
-	if report.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "blkload: %d/%d requests failed (first: %s)\n",
-			report.Errors, report.Requests, report.FirstError)
-	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	if report.Errors > 0 {
-		return fmt.Errorf("%d requests failed", report.Errors)
-	}
-	return nil
 }
 
 // fleetReport is the JSON form of a fleet run's client-side report.
@@ -241,9 +149,7 @@ func runFleet(client *api.Client, size int, seed uint64, jsonOut string) error {
 		fmt.Printf("%-11s mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f %s\n",
 			m.Name, m.Mean, m.P50, m.P95, m.P99, m.Unit)
 	}
-	if stats, err := client.Stats(context.Background()); err == nil {
-		printSegmentStats(os.Stdout, stats)
-	} else {
+	if err := printServerStats(context.Background(), os.Stdout, client); err != nil {
 		fmt.Fprintln(os.Stderr, "blkload: stats:", err)
 	}
 	if jsonOut != "" {
@@ -272,9 +178,36 @@ func printReport(w *os.File, r api.LoadReport) {
 		r.Hits, r.Coalesced, r.Misses, r.HitRatio)
 }
 
-// printSegmentStats renders the server-side delta-simulation segment
-// cache counters from /v1/stats.
-func printSegmentStats(w *os.File, s api.Stats) {
-	fmt.Fprintf(w, "segments    %d hits, %d misses, %d coalesced, %d evictions (hit ratio %.2f, %d entries)\n",
-		s.SegmentHits, s.SegmentMisses, s.SegmentCoalesced, s.SegmentEvictions, s.SegmentHitRatio, s.SegmentEntries)
+// printServerStats samples GET /v1/stats and renders the segment-cache
+// counters: a node's own, or, behind a router, every member's with the
+// requests the router forwarded to it.
+func printServerStats(ctx context.Context, w io.Writer, client *api.Client) error {
+	// A router's document names it; a node's decodes with Router empty.
+	cs, err := client.ClusterStats(ctx)
+	if err != nil {
+		return err
+	}
+	if cs.Router == "" {
+		st, err := client.Stats(ctx)
+		if err != nil {
+			return err
+		}
+		printSegmentStats(w, "", st)
+		return nil
+	}
+	if len(cs.Forwarded) != len(cs.Nodes) {
+		return fmt.Errorf("router %s: %d forwarded counts for %d nodes", cs.Router, len(cs.Forwarded), len(cs.Nodes))
+	}
+	for i, st := range cs.Nodes {
+		f := cs.Forwarded[i]
+		printSegmentStats(w, fmt.Sprintf("%s (%d forwarded): ", f.Node, f.Requests), st)
+	}
+	return nil
+}
+
+// printSegmentStats renders one node's delta-simulation segment cache
+// counters from /v1/stats, after label.
+func printSegmentStats(w io.Writer, label string, s api.Stats) {
+	fmt.Fprintf(w, "segments    %s%d hits, %d misses, %d coalesced, %d evictions (hit ratio %.2f, %d entries)\n",
+		label, s.SegmentHits, s.SegmentMisses, s.SegmentCoalesced, s.SegmentEvictions, s.SegmentHitRatio, s.SegmentEntries)
 }

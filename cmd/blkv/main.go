@@ -34,8 +34,6 @@ func main() {
 		err = infoCmd(os.Args[2:])
 	case "decode":
 		err = decodeCmd(os.Args[2:])
-	case "bench-json":
-		err = benchJSONCmd(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -47,14 +45,11 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: blkv <encode|info|decode|bench-json> [flags]
+	fmt.Fprintln(os.Stderr, `usage: blkv <encode|info|decode> [flags]
 
-  encode     -o FILE [-w W] [-h H] [-frames N] [-q QUALITY] [-b BPERIOD] [-bitrate MBPS]
-  info       -i FILE
-  decode     -i FILE [-raw FILE]
-  bench-json [-o FILE] [-w W] [-h H] [-reps N]   time the parallel kernels, write JSON
-  bench-json lint [-o FILE] [-reps N]
-             time a full-module blklint run, v2 analyzers vs v2+v3, write JSON`)
+  encode  -o FILE [-w W] [-h H] [-frames N] [-q QUALITY] [-b BPERIOD] [-bitrate MBPS]
+  info    -i FILE
+  decode  -i FILE [-raw FILE]`)
 }
 
 // synthFrame draws moving synthetic content.

@@ -345,8 +345,8 @@ func (r SessionRequest) Key() string {
 
 // CacheKey returns the endpoint-qualified result-cache key the server
 // files this request under. It is the shared routing vocabulary: the
-// cluster ring hashes these exact strings, so the router, the sharded
-// client, and the server agree on which node owns a scenario.
+// cluster ring hashes these exact strings, so the router and the server
+// agree on which node owns a scenario.
 func (r SessionRequest) CacheKey() string { return "v1/session:" + r.Key() }
 
 // ToConfig converts a validated request into the session runner's

@@ -273,13 +273,6 @@ func (c *Client) ClusterStats(ctx context.Context) (ClusterStats, error) {
 	return out, err
 }
 
-// NodeHealth fetches one node's health/load document (GET /v1/health).
-func (c *Client) NodeHealth(ctx context.Context) (Health, error) {
-	var out Health
-	_, err := c.do(ctx, http.MethodGet, "/v1/health", nil, &out)
-	return out, err
-}
-
 // Snapshot fetches the node's cache snapshot (GET /v1/snapshot), the
 // warm-restart export a fresh node imports via blkd -warm.
 func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {

@@ -146,20 +146,13 @@ func uniqueRequest(j int) SessionRequest {
 	return req
 }
 
-// SessionClient is the slice of the typed client a load run drives; the
-// plain Client satisfies it, and so does the cluster's ShardedClient —
-// which is how the same closed-loop generator measures one node or a
-// whole ring.
-type SessionClient interface {
-	Session(ctx context.Context, req SessionRequest) (SessionResponse, CacheStatus, error)
-}
-
 // RunLoad drives the schedule against the service at opts.Concurrency
 // and reports throughput, latency percentiles, and the cache hit ratio
 // observed through the X-Cache header (hits + coalesced over total).
-// The par pool is widened to Concurrency for the duration so every
-// worker really runs its closed loop on its own goroutine.
-func RunLoad(ctx context.Context, c SessionClient, opts LoadOptions) (LoadReport, error) {
+// The service may be one node or a cluster router. The par pool is
+// widened to Concurrency for the duration so every worker really runs
+// its closed loop on its own goroutine.
+func RunLoad(ctx context.Context, c *Client, opts LoadOptions) (LoadReport, error) {
 	if opts.Now == nil {
 		return LoadReport{}, fmt.Errorf("api: LoadOptions.Now is required (pass time.Now)")
 	}

@@ -1,8 +1,8 @@
 // Package cluster_test holds the cluster integration tests — the 2-node
-// wire-determinism pin and the snapshot round-trip. It is an external
-// test package because it drives real internal/server instances, and
-// server imports cluster; the production dependency arrow stays
-// server → cluster.
+// wire-determinism pin, routed load, and the snapshot round-trip. It is
+// an external test package because it drives real internal/server
+// instances, and server imports cluster; the production dependency
+// arrow stays server → cluster.
 package cluster_test
 
 import (
@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"burstlink/internal/api"
 	"burstlink/internal/cluster"
@@ -166,53 +167,57 @@ func TestTwoNodeWireDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedClientMatchesRouter pins that client-side sharding and the
-// router agree on ownership: the same ring, the same keys, the same node.
-func TestShardedClientMatchesRouter(t *testing.T) {
+// TestRunLoadThroughRouter drives the closed-loop load generator
+// through a 2-node router and pins single ownership under concurrent
+// load: every scheduled request is answered and forwarded once, and
+// each distinct canonical key is computed exactly once across the
+// cluster.
+func TestRunLoadThroughRouter(t *testing.T) {
 	nodeA := httptest.NewServer(server.New(server.Config{NodeID: "a"}).Handler())
 	defer nodeA.Close()
 	nodeB := httptest.NewServer(server.New(server.Config{NodeID: "b"}).Handler())
 	defer nodeB.Close()
-	urls := []string{nodeA.URL, nodeB.URL}
-
-	sc, ring, err := cluster.NewShardedClient(urls, 0)
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Backends: []string{nodeA.URL, nodeB.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Len() != 2 || ring.VNodes() != cluster.DefaultVNodes {
-		t.Fatalf("sharded client: %d nodes, %d vnodes", sc.Len(), ring.VNodes())
-	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
 
-	ctx := context.Background()
-	req := api.SessionRequest{Scheme: "burstlink", Resolution: "FHD", Refresh: 60, FPS: 30, Seconds: 2}
-	if _, _, err := sc.Session(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-
-	// Exactly the ring owner computed it.
-	req.Normalize()
-	owner := ring.OwnerIndex(req.CacheKey())
-	stats, err := sc.StatsAll(ctx)
+	opts := api.LoadOptions{Concurrency: 8, Requests: 200, DupRate: 0.5, Seed: 1, Now: time.Now}
+	client := api.NewClient(front.URL)
+	rep, err := api.RunLoad(context.Background(), client, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range stats {
-		want := uint64(0)
-		if i == owner {
-			want = 1
-		}
-		if st.CacheMisses != want {
-			t.Errorf("node %d (%s): %d misses, want %d", i, st.Node, st.CacheMisses, want)
-		}
+	if rep.Errors != 0 {
+		t.Fatalf("%d/%d requests failed (first: %s)", rep.Errors, rep.Requests, rep.FirstError)
+	}
+	if got := rep.Hits + rep.Coalesced + rep.Misses; got != opts.Requests {
+		t.Errorf("hits+coalesced+misses = %d, want %d", got, opts.Requests)
 	}
 
-	// Health fans out across the membership.
-	healths, err := sc.HealthAll(ctx)
+	cs, err := client.ClusterStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(healths) != 2 || healths[0].Status != "ok" || healths[1].Status != "ok" {
-		t.Fatalf("HealthAll = %+v", healths)
+	var forwarded, misses uint64
+	for _, f := range cs.Forwarded {
+		forwarded += f.Requests
+	}
+	for _, st := range cs.Nodes {
+		misses += st.CacheMisses
+	}
+	if forwarded != uint64(opts.Requests) {
+		t.Errorf("router forwarded %d requests, want %d", forwarded, opts.Requests)
+	}
+	distinct := make(map[string]bool)
+	for _, req := range api.Schedule(opts) {
+		req.Normalize()
+		distinct[req.CacheKey()] = true
+	}
+	if misses != uint64(len(distinct)) {
+		t.Errorf("summed node misses = %d, want %d (one per distinct scheduled key)", misses, len(distinct))
 	}
 }
 

@@ -22,9 +22,8 @@
 //     restarted or newly added node starts warm with byte-identical hit
 //     behavior instead of recomputing its working set.
 //
-// Client-side sharding — the same ring driving internal/api's typed
-// client directly, with no router hop — is NewShardedClient; blkload's
-// -cluster mode uses it to drive a fleet and report per-node skew.
+// Clients, blkload included, reach a fleet through the router exactly
+// as they would reach a single node.
 package cluster
 
 import (
@@ -35,10 +34,10 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per member used when a caller
-// passes vnodes <= 0. 128 points per node keeps the deterministic
-// per-node key share well inside the ±20% balance band the ring's
-// property tests pin.
+// DefaultVNodes is the virtual-node count per member: the router's ring
+// always uses it, and NewRing selects it when a caller passes vnodes <=
+// 0. 128 points per node keeps the deterministic per-node key share
+// well inside the ±20% balance band the ring's property tests pin.
 const DefaultVNodes = 128
 
 // point is one virtual node: a position on the 64-bit hash circle owned
@@ -112,9 +111,6 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// VNodes returns the virtual-node count per member.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // OwnerIndex returns the index (into Nodes) of the member owning key:
 // the member of the first virtual node at or clockwise after the key's

@@ -26,9 +26,6 @@ type RouterConfig struct {
 	// Backends are the member blkd base URLs (e.g.
 	// "http://10.0.0.1:8080"). At least one is required.
 	Backends []string
-	// VNodes is the virtual-node count per backend (default
-	// DefaultVNodes).
-	VNodes int
 	// Client issues the forwarded requests (default
 	// http.DefaultClient).
 	Client *http.Client
@@ -58,7 +55,7 @@ type Router struct {
 
 // NewRouter builds a router over the given backends.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	ring, err := NewRing(cfg.Backends, cfg.VNodes)
+	ring, err := NewRing(cfg.Backends, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +75,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /v1/health", rt.handleHealth)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("POST /v1/session", rt.handleSession)
-	rt.mux.HandleFunc("POST /v1/sweep", rt.handleSweep)
-	rt.mux.HandleFunc("POST /v1/fleet", rt.handleFleet)
+	// A sweep executes wholly on its owner, whose session cache its
+	// cells share; a fleet's key excludes Stream, so streamed and plain
+	// runs share an owner.
+	rt.mux.HandleFunc("POST /v1/session", routePost(rt, "/v1/session", api.DecodeSessionRequest))
+	rt.mux.HandleFunc("POST /v1/sweep", routePost(rt, "/v1/sweep", api.DecodeSweepRequest))
+	rt.mux.HandleFunc("POST /v1/fleet", routePost(rt, "/v1/fleet", api.DecodeFleetRequest))
 	rt.mux.HandleFunc("GET /v1/exp", rt.handleExpList)
 	rt.mux.HandleFunc("GET /v1/exp/{id}", rt.handleExp)
 	return rt, nil
@@ -166,51 +166,23 @@ func copyFlushing(w http.ResponseWriter, src io.Reader) {
 	}
 }
 
-// handleSession routes POST /v1/session by the session's canonical key.
-func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeSessionRequest(r.Body)
-	if err != nil {
-		api.WriteError(w, err)
-		return
+// routePost returns the handler for a POST endpoint: decode the body
+// exactly as a backend would, re-encode the normalized request, and
+// forward it to the ring owner of its canonical key.
+func routePost[T interface{ CacheKey() string }](rt *Router, path string, decode func(io.Reader) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := decode(r.Body)
+		if err != nil {
+			api.WriteError(w, err)
+			return
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", err))
+			return
+		}
+		rt.forward(w, r, req.CacheKey(), http.MethodPost, path, body)
 	}
-	body, merr := json.Marshal(req)
-	if merr != nil {
-		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
-		return
-	}
-	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/session", body)
-}
-
-// handleSweep routes POST /v1/sweep by the sweep's canonical key; the
-// whole sweep executes on one node, whose session cache its cells share.
-func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeSweepRequest(r.Body)
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	body, merr := json.Marshal(req)
-	if merr != nil {
-		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
-		return
-	}
-	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/sweep", body)
-}
-
-// handleFleet routes POST /v1/fleet by the population's canonical key
-// (Stream excluded, so streamed and plain runs share an owner).
-func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeFleetRequest(r.Body)
-	if err != nil {
-		api.WriteError(w, err)
-		return
-	}
-	body, merr := json.Marshal(req)
-	if merr != nil {
-		api.WriteError(w, api.Errf(http.StatusInternalServerError, "encoding_failed", "%v", merr))
-		return
-	}
-	rt.forward(w, r, req.CacheKey(), http.MethodPost, "/v1/fleet", body)
 }
 
 // handleExp routes GET /v1/exp/{id} by the experiment's cache key.

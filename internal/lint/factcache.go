@@ -13,10 +13,12 @@ import (
 	"strings"
 )
 
-// This file is blklint's incremental fact cache. BENCH_lint.json shows
-// the tool's wall time is ~97% package loading (parse + type-check from
-// source), so the way to make module-wide lint cheap enough for every
-// save is to skip loading, not just analysis, for unchanged packages.
+// This file is blklint's incremental fact cache. The tool's wall time is
+// mostly package loading (parse + type-check from source:
+// BenchmarkAnalyzers' `load` row against its `all` row), so the way to
+// make module-wide lint cheap enough for every save is to skip loading,
+// not just analysis, for unchanged packages; its `warm` row times a
+// no-op re-lint.
 //
 // The unit of caching is one package's facts: its post-suppression
 // findings and its lock-order edges (the only analyzer output that

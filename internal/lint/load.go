@@ -106,15 +106,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir, outside any
-// module mapping — the entry point the fixture tests use. Imports that
-// are not resolvable from source are reported as type errors.
-func LoadDir(dir string, pkgPath string) (*Package, error) {
-	ld := newLoader(dir, pkgPath)
-	ld.dirs[pkgPath] = dir
-	return ld.load(pkgPath)
-}
-
 // LoadTree maps every package directory under root as modPath/<rel> and
 // loads pkgPath from that synthetic module — the fixture entry point
 // that lets testdata packages import each other (e.g. the stub

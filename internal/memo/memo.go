@@ -244,10 +244,14 @@ func (c *Cache) Load(entries []cache.EntryOf[any]) {
 // lead the in-flight computation of the same key, then compute. Errors
 // are never cached — a failing segment recomputes on the next request.
 func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
+	// The lookup and the in-flight check are one step under mu: a leader
+	// caches its value before it leaves calls, so no caller can miss
+	// both and compute the key a second time.
+	c.mu.Lock()
 	if v, ok := c.lru.Get(key); ok {
+		c.mu.Unlock()
 		return v, nil
 	}
-	c.mu.Lock()
 	if cl, ok := c.calls[key]; ok {
 		c.mu.Unlock()
 		cl.wg.Wait()

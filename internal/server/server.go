@@ -200,7 +200,8 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 
 // execute produces the response body for key: result cache first, then
 // attach to or lead the in-flight execution of the same scenario, then
-// compute. Successful bodies are cached.
+// compute. Successful bodies are cached, so each scenario is computed
+// once while it stays cached.
 func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte, *api.Error)) ([]byte, api.CacheStatus, *api.Error) {
 	if body, ok := s.cache.Get(key); ok {
 		s.hits.Add(1)
@@ -209,13 +210,24 @@ func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte
 	if err := ctx.Err(); err != nil {
 		return nil, "", api.ContextError(err)
 	}
+	hit := false
 	body, aerr, leader := s.flight.Do(key, func() ([]byte, *api.Error) {
+		// A previous leader may have cached key and left the flight
+		// between the Get above and this call.
+		if body, ok := s.cache.Get(key); ok {
+			hit = true
+			return body, nil
+		}
 		body, aerr := compute()
 		if aerr == nil {
 			s.cache.Put(key, body)
 		}
 		return body, aerr
 	})
+	if hit {
+		s.hits.Add(1)
+		return body, api.CacheHit, nil
+	}
 	if leader {
 		if aerr == nil {
 			s.misses.Add(1)
