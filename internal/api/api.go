@@ -150,6 +150,12 @@ type SweepResponse struct {
 // identifies the reporting instance so cluster tooling can attribute
 // per-node counters; InFlight and Queued are instantaneous occupancy
 // (MaxInFlight is the high-water mark).
+//
+// Both caches count the same way: every lookup counts exactly one of
+// hits, misses or coalesced. A miss is a computation, whether it
+// failed or not (errors are never cached); coalesced counts lookups
+// that waited for an identical in-flight computation. HitRatio and
+// SegmentHitRatio are (hits+coalesced)/(hits+misses+coalesced).
 type Stats struct {
 	Node          string  `json:"node,omitempty"`
 	Requests      uint64  `json:"requests"`
@@ -165,7 +171,7 @@ type Stats struct {
 	MaxInFlight   int     `json:"max_in_flight"`
 	// Segment* expose the delta-simulation segment cache that sits under
 	// the result cache: per-segment (buffer / timeline / power-period)
-	// hits, misses, evictions, and coalesced computations.
+	// hits, misses, evictions, and coalesced lookups.
 	SegmentHits      uint64  `json:"segment_hits"`
 	SegmentMisses    uint64  `json:"segment_misses"`
 	SegmentEvictions uint64  `json:"segment_evictions"`
@@ -177,8 +183,7 @@ type Stats struct {
 
 // Health is one node's liveness and load document (GET /v1/health): the
 // node id plus the instantaneous occupancy a router or balancer would
-// steer on. Fill ratios are entries over capacity; a disabled cache
-// reports zero fill.
+// steer on. Fill ratios are entries over capacity.
 type Health struct {
 	Node           string  `json:"node"`
 	Status         string  `json:"status"`

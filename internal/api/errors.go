@@ -19,14 +19,21 @@ func ContextError(err error) *Error {
 	return Errf(statusClientGone, "canceled", "client canceled the request")
 }
 
-// WriteError writes err as a structured JSON error body under its
-// status, defaulting errors that carry no *Error to a 500. A client-gone
-// error ends the exchange with a bare 503 instead.
-func WriteError(w http.ResponseWriter, err error) {
+// AsError returns the *Error in err's chain, or a 500 "internal" Error
+// carrying err's text when there is none.
+func AsError(err error) *Error {
 	var aerr *Error
 	if !errors.As(err, &aerr) {
 		aerr = Errf(http.StatusInternalServerError, "internal", "%v", err)
 	}
+	return aerr
+}
+
+// WriteError writes err as a structured JSON error body under its
+// status, defaulting errors that carry no *Error to a 500. A client-gone
+// error ends the exchange with a bare 503 instead.
+func WriteError(w http.ResponseWriter, err error) {
+	aerr := AsError(err)
 	if aerr.Status == statusClientGone {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		return

@@ -88,9 +88,8 @@ func Schedule(opts LoadOptions) []SessionRequest {
 
 // neighborRequest moves exactly one axis of the previous configuration —
 // the sweep walk's step. step selects the axis; j keeps the bitrate axis
-// marching forward. The walk may revisit cells (cyclic axes wrap), so
-// harnesses that want to measure segment reuse rather than whole-result
-// caching run it with the result cache disabled.
+// marching forward. The walk may revisit cells (cyclic axes wrap); a
+// revisited cell is a result-cache hit and computes no segments.
 func neighborRequest(prev SessionRequest, j, step int) SessionRequest {
 	req := prev
 	switch step {

@@ -11,19 +11,20 @@ import (
 // every hit. Two rules, both driven by the value-flow layer:
 //
 //   - Hit side: memory obtained from a cache-hit source (memo.Do, a
-//     Get on internal/cache or internal/memo, a sink column accessor)
+//     Get on internal/cache or internal/memo, a Do on internal/cache, a
+//     sink column accessor)
 //     must never be written through — not directly (element, field,
 //     pointer stores; append; copy; in-place sorts) and not by passing
 //     it to a module function whose summary says it writes through
 //     that parameter. One such write poisons every future hit of the
 //     key, a wrong-answer bug no throughput test catches.
 //
-//   - Insert side: a value handed to a cache Put, or returned by a
-//     memo.Do compute closure, must not alias the enclosing function's
-//     receiver or parameters — caller-owned buffers get reused, and
-//     the cache would retain a view into them. Defensive-copy idioms
-//     (append to nil, slices/maps/bytes.Clone, make+copy, string
-//     round-trips) produce owned memory and pass.
+//   - Insert side: a value handed to a cache Put, or returned by the
+//     compute closure of memo.Do or a cache Do, must not alias the
+//     enclosing function's receiver or parameters — caller-owned
+//     buffers get reused, and the cache would retain a view into them.
+//     Defensive-copy idioms (append to nil, slices/maps/bytes.Clone,
+//     make+copy, string round-trips) produce owned memory and pass.
 //
 // Unknown origins never fire: the analyzer trades false negatives for
 // a near-zero false-positive rate, like every interprocedural check in
@@ -97,9 +98,9 @@ func checkAliasFunc(pass *Pass, sums *valueSummaries, fn *ast.FuncDecl) {
 			}
 		}
 
-		// Insert side: a memo.Do compute closure's results are retained
-		// by the cache.
-		if isMemoDoCall(pass.TypesInfo, call) && len(call.Args) > 0 {
+		// Insert side: the results of a memo.Do or cache Do compute
+		// closure are retained by the cache.
+		if isMemoizedCall(pass.TypesInfo, call) && len(call.Args) > 0 {
 			if lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit); ok {
 				checkComputeReturns(pass, fl, lit)
 			}

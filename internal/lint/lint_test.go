@@ -336,7 +336,8 @@ func TestScopes(t *testing.T) {
 		{ParCheck, "burstlink/internal/serverextra", true},
 		{ParCheck, "burstlink/internal/exp", true},
 		{ParCheck, "burstlink/internal/api", true},
-		{ParCheck, "burstlink/internal/cache", true},
+		{ParCheck, "burstlink/internal/cache", false},
+		{ParCheck, "burstlink/internal/memo", true},
 		{ParCheck, "burstlink/cmd/burstlink", true},
 		{ParCheck, "burstlink/cmd/blkd", true},
 		{ParCheck, "burstlink/cmd/blkload", true},

@@ -321,7 +321,7 @@ func LockOrderCycles(edges []LockEdge) []Finding {
 }
 
 // shortLockName trims the import-path prefix of a lock key for readable
-// reports: "burstlink/internal/memo.Cache.mu" → "memo.Cache.mu".
+// reports: "burstlink/internal/cache.LRUOf.mu" → "cache.LRUOf.mu".
 func shortLockName(key string) string {
 	if i := strings.LastIndex(key, "/"); i >= 0 {
 		return key[i+1:]

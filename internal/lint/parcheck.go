@@ -23,20 +23,21 @@ var ParCheck = &Analyzer{
 // primitives are legitimate. Keep it short and justified:
 //
 //   - internal/par: the worker pool is built FROM these primitives.
-//   - internal/server: the blkd service layer's accept loop, request
-//     coalescing (flightGroup), and graceful drain are event-driven
-//     concurrency, not bounded index fan-out — they cannot be expressed
-//     through the pool they'd otherwise be confined to.
-//   - internal/memo: the segment cache's singleflight coalescing blocks
-//     waiters on the leader's in-flight computation — the same
-//     event-driven shape as the server's flightGroup, one layer down.
+//   - internal/server: the blkd service layer's accept loop and
+//     graceful drain are event-driven concurrency, not bounded index
+//     fan-out — they cannot be expressed through the pool they'd
+//     otherwise be confined to.
+//   - internal/cache: LRUOf.Do, the module's one singleflight, blocks
+//     coalesced callers on the leader's in-flight computation — the
+//     same event-driven shape, serving both the server's result cache
+//     and internal/memo's segment cache.
 //
 // Everything else still goes through par; extending this list is a
 // review decision, not a //lint:ignore at the call site.
 var parAllowlist = []string{
 	"internal/par",
 	"internal/server",
-	"internal/memo",
+	"internal/cache",
 }
 
 // parAllowed reports whether pkgPath is an allowlisted package or lives

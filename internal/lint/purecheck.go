@@ -14,8 +14,9 @@ import (
 // any write to caller-visible memory turns a "pure producer" into a
 // side effect the cache then elides on every hit.
 //
-// Roots are the compute closures handed to memo.Do (and local function
-// literals they call, resolved when bound exactly once). Inside a
+// Roots are the compute closures handed to memo.Do or to a cache Do
+// method (and local function literals they call, resolved when bound
+// exactly once). Inside a
 // root, purecheck flags:
 //
 //   - calls into time (wall clock, timers), os, and math/rand (minus
@@ -67,11 +68,11 @@ func runPureCheck(pass *Pass) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			var fl *flowState // built lazily: only bodies with memo.Do pay
+			var fl *flowState // built lazily: only bodies with a memoized call pay
 			var localLits map[types.Object]*ast.FuncLit
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
-				if !ok || !isMemoDoCall(pass.TypesInfo, call) || len(call.Args) == 0 {
+				if !ok || !isMemoizedCall(pass.TypesInfo, call) || len(call.Args) == 0 {
 					return true
 				}
 				if fl == nil {

@@ -63,6 +63,29 @@ func MemoFresh(c *memo.Cache, in segInput) ([]byte, error) {
 	})
 }
 
+// MutateDo writes through the value a cache Do hands back: on a hit
+// that value is the cached original.
+func MutateDo(c *cache.LRU, key string) {
+	v, _, _ := c.Do(key, func() ([]byte, error) { return make([]byte, 8), nil })
+	v[0] = 0 // want "element write mutates memory obtained from cache.Do"
+}
+
+// DoParam's compute closure returns the caller's buffer; the cache
+// would retain it.
+func DoParam(c *cache.LRU, key string, buf []byte) ([]byte, error) {
+	v, _, err := c.Do(key, func() ([]byte, error) {
+		return buf, nil // want "returns memory aliasing buf"
+	})
+	return v, err
+}
+
+// DoFresh's compute closure returns owned memory, and the caller only
+// reads the result: clean.
+func DoFresh(c *cache.LRU, key string) (int, error) {
+	v, _, err := c.Do(key, func() ([]byte, error) { return make([]byte, 8), nil })
+	return len(v), err
+}
+
 // cachedRow returns the cached row, aliased — its borrow summary marks
 // the result as cache-resident memory.
 func cachedRow(c *cache.LRU, key string) []byte {

@@ -1,6 +1,7 @@
 // Package cache is a stub of burstlink/internal/cache for the
-// aliascheck fixtures: just the LRU surface whose Get hands back
-// cache-resident memory and whose Put retains its value argument. The
+// aliascheck and purecheck fixtures: just the LRU surface whose Get and
+// Do hand back cache-resident memory, whose Put retains its value
+// argument, and whose Do runs a memoized compute closure. The
 // value-flow layer matches the package by import-path suffix, so this
 // stub resolves exactly like the real one.
 package cache
@@ -19,3 +20,18 @@ func (c *LRU) Get(key string) ([]byte, bool) {
 
 // Put stores val, retaining the reference.
 func (c *LRU) Put(key string, val []byte) { c.m[key] = val }
+
+// Outcome says how Do produced its value.
+type Outcome int
+
+// Do returns the cached value, aliased, or computes and retains it.
+func (c *LRU) Do(key string, compute func() ([]byte, error)) ([]byte, Outcome, error) {
+	if v, ok := c.m[key]; ok {
+		return v, 1, nil
+	}
+	v, err := compute()
+	if err == nil {
+		c.m[key] = v
+	}
+	return v, 0, err
+}

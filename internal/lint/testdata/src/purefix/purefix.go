@@ -10,6 +10,7 @@ import (
 	"os"
 	"time"
 
+	"burstlink/internal/cache"
 	"burstlink/internal/memo"
 )
 
@@ -29,6 +30,23 @@ func Clock(c *memo.Cache) (int64, error) {
 	return memo.Do(c, "clock", in{1}, func() (int64, error) {
 		return time.Now().UnixNano(), nil // want "calls time.Now"
 	})
+}
+
+// DoClock's compute, run by a cache Do, reads the wall clock.
+func DoClock(c *cache.LRU) ([]byte, error) {
+	v, _, err := c.Do("clock", func() ([]byte, error) {
+		return []byte(time.Now().String()), nil // want "calls time.Now"
+	})
+	return v, err
+}
+
+// DoPure's compute, run by a cache Do, is a pure function of its
+// captured inputs: clean.
+func DoPure(c *cache.LRU, n int) ([]byte, error) {
+	v, _, err := c.Do("pure", func() ([]byte, error) {
+		return make([]byte, n), nil
+	})
+	return v, err
 }
 
 // ReadsGlobal's compute depends on mutable package state.

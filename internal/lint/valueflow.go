@@ -54,7 +54,7 @@ type origins struct {
 	// has one, then parameters in order) the memory may alias.
 	params map[int]bool
 	// hits maps call positions of cache-hit sources (memo.Do, cache
-	// Get, sink Floats) the memory may alias.
+	// Get and Do, sink Floats) the memory may alias.
 	hits map[token.Pos]bool
 	// fresh marks memory allocated inside the function.
 	fresh bool
@@ -623,8 +623,8 @@ func pkgPathIs(path, base string) bool {
 }
 
 // borrowSource recognizes calls whose first result aliases long-lived
-// cache-resident memory: memo.Do, Get methods on internal/cache and
-// internal/memo types, and sink column accessors. Returns a short
+// cache-resident memory: memo.Do, Get and Do methods on internal/cache
+// and internal/memo types, and sink column accessors. Returns a short
 // description for diagnostics.
 func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fun := ast.Unparen(call.Fun)
@@ -648,6 +648,8 @@ func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 			switch {
 			case x.Sel.Name == "Get" && (pkgPathIs(path, "cache") || pkgPathIs(path, "memo")):
 				return "cache.Get", true
+			case x.Sel.Name == "Do" && pkgPathIs(path, "cache"):
+				return "cache.Do", true
 			case x.Sel.Name == "Floats" && pkgPathIs(path, "sink"):
 				return "sink.Floats", true
 			}
@@ -662,11 +664,11 @@ func borrowSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// isMemoDoCall reports whether call is memo.Do (whose last argument is
-// the memoized compute function).
-func isMemoDoCall(info *types.Info, call *ast.CallExpr) bool {
+// isMemoizedCall reports whether call is memo.Do or a cache Do method,
+// whose last argument is the memoized compute function.
+func isMemoizedCall(info *types.Info, call *ast.CallExpr) bool {
 	desc, ok := borrowSource(info, call)
-	return ok && desc == "memo.Do"
+	return ok && (desc == "memo.Do" || desc == "cache.Do")
 }
 
 // isCachePutCall reports whether call is a Put method on an

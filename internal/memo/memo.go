@@ -14,9 +14,9 @@
 // cache, and a sweep that changes one knob recomputes only the segments
 // the knob invalidates.
 //
-// The cache layers internal/cache's LRU under the singleflight-style
-// coalescing internal/server uses for whole requests: concurrent misses
-// on one key run the segment once and share the value. Cached values are
+// The cache is internal/cache's coalescing LRU, the same one
+// internal/server uses for whole requests: concurrent misses on one key
+// run the segment once and share the value. Cached values are
 // aliased, never copied — segment outputs are immutable by contract
 // (the determinism suite pins that a cached segment is bit-identical to
 // a recomputed one). That contract is enforced on two levels: the
@@ -37,8 +37,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"burstlink/internal/cache"
@@ -153,126 +151,20 @@ func KeyOf(segment string, k Keyer) string {
 	return w.Sum(segment)
 }
 
-// Stats snapshots the segment cache counters: the LRU's hit/miss/
-// eviction counts plus how many computations were coalesced onto an
-// identical in-flight one.
-type Stats struct {
-	Entries   int
-	Capacity  int
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Coalesced uint64
-}
-
-// call is one in-flight segment computation.
-type call struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
-
-// Cache is the bounded, concurrency-safe segment cache: an LRU of
-// segment outputs keyed by canonical input hashes, with singleflight
-// coalescing so concurrent sweep cells that need the same segment run it
-// once. With a nil *Cache every Do computes directly.
+// Cache is the bounded, concurrency-safe segment cache: internal/cache's
+// coalescing LRU of segment outputs keyed by canonical input hashes, so
+// concurrent sweep cells that need the same segment run it once. With
+// a nil *Cache every Do computes directly.
 //
 // Cached values are aliased, never copied. Segment outputs are immutable
 // by contract; Do's compute functions must return values that are never
 // mutated afterwards.
-type Cache struct {
-	lru       *cache.LRUOf[any]
-	mu        sync.Mutex
-	calls     map[string]*call
-	coalesced atomic.Uint64
-}
+type Cache = cache.LRUOf[any]
 
 // NewCache returns a segment cache holding at most capacity entries.
 // capacity <= 0 returns a disabled cache (every Do computes directly),
 // so callers need no separate "memo off" path.
-func NewCache(capacity int) *Cache {
-	return &Cache{
-		lru:   cache.NewLRUOf[any](capacity),
-		calls: make(map[string]*call),
-	}
-}
-
-// Enabled reports whether the cache can hold entries at all. A nil
-// cache is disabled.
-func (c *Cache) Enabled() bool { return c != nil && c.lru.Enabled() }
-
-// Stats snapshots the counters. A nil or disabled cache reports zeros.
-func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
-	ls := c.lru.Stats()
-	return Stats{
-		Entries:   ls.Entries,
-		Capacity:  ls.Capacity,
-		Hits:      ls.Hits,
-		Misses:    ls.Misses,
-		Evictions: ls.Evictions,
-		Coalesced: c.coalesced.Load(),
-	}
-}
-
-// Dump returns the segment cache's entries, least → most recently used,
-// for snapshot export (internal/cluster). Values are aliased with the
-// cache; the segment read-only contract applies. A nil or disabled
-// cache dumps nothing.
-func (c *Cache) Dump() []cache.EntryOf[any] {
-	if !c.Enabled() {
-		return nil
-	}
-	return c.lru.Dump()
-}
-
-// Load replays dumped segment entries into the cache (least recently
-// used first), restoring contents and recency. Counters are untouched:
-// a warmed cache's subsequent hit/miss behavior is identical to the
-// cache that produced the dump. A nil or disabled cache ignores the
-// load.
-func (c *Cache) Load(entries []cache.EntryOf[any]) {
-	if !c.Enabled() {
-		return
-	}
-	c.lru.Load(entries)
-}
-
-// do returns compute's value for key: cache first, then attach to or
-// lead the in-flight computation of the same key, then compute. Errors
-// are never cached — a failing segment recomputes on the next request.
-func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
-	// The lookup and the in-flight check are one step under mu: a leader
-	// caches its value before it leaves calls, so no caller can miss
-	// both and compute the key a second time.
-	c.mu.Lock()
-	if v, ok := c.lru.Get(key); ok {
-		c.mu.Unlock()
-		return v, nil
-	}
-	if cl, ok := c.calls[key]; ok {
-		c.mu.Unlock()
-		cl.wg.Wait()
-		c.coalesced.Add(1)
-		return cl.val, cl.err
-	}
-	cl := &call{}
-	cl.wg.Add(1)
-	c.calls[key] = cl
-	c.mu.Unlock()
-
-	cl.val, cl.err = compute()
-	if cl.err == nil {
-		c.lru.Put(key, cl.val)
-	}
-	c.mu.Lock()
-	delete(c.calls, key)
-	c.mu.Unlock()
-	cl.wg.Done()
-	return cl.val, cl.err
-}
+func NewCache(capacity int) *Cache { return cache.NewLRUOf[any](capacity) }
 
 // Do returns the segment output for input in, computing it at most once
 // per cache residency: a hit returns the cached value, concurrent
@@ -290,10 +182,10 @@ func (c *Cache) do(key string, compute func() (any, error)) (any, error) {
 // runs on every enabled-cache return, including the miss that inserted
 // the value, because the inserting caller aliases the cache too.
 func Do[T any](c *Cache, segment string, in Keyer, compute func() (T, error)) (T, error) {
-	if !c.Enabled() {
+	if c == nil || !c.Enabled() {
 		return compute()
 	}
-	v, err := c.do(KeyOf(segment, in), func() (any, error) { return compute() })
+	v, _, err := c.Do(KeyOf(segment, in), func() (any, error) { return compute() })
 	if err != nil {
 		var zero T
 		return zero, err

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pair is a minimal two-field segment input for cache tests.
@@ -52,16 +53,18 @@ func TestDoNeverCachesErrors(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("failed segment was cached (calls=%d)", calls)
 	}
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("error entered cache: %+v", st)
+	// Each failed computation still counts as a miss.
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 2 {
+		t.Fatalf("error entered cache or went uncounted: %+v", st)
 	}
 }
 
 func TestNilAndDisabledCacheComputeDirectly(t *testing.T) {
-	for _, c := range []*Cache{nil, NewCache(0)} {
-		if c.Enabled() {
-			t.Fatal("should be disabled")
-		}
+	disabled := NewCache(0)
+	if disabled.Enabled() {
+		t.Fatal("NewCache(0) should be disabled")
+	}
+	for _, c := range []*Cache{nil, disabled} {
 		calls := 0
 		for i := 0; i < 3; i++ {
 			v, err := Do(c, "seg", pair{4, 4}, func() (int, error) { calls++; return 9, nil })
@@ -72,9 +75,9 @@ func TestNilAndDisabledCacheComputeDirectly(t *testing.T) {
 		if calls != 3 {
 			t.Fatalf("disabled cache memoized (calls=%d)", calls)
 		}
-		if st := c.Stats(); st.Hits != 0 && st.Misses != 0 {
-			t.Fatalf("disabled cache counted: %+v", st)
-		}
+	}
+	if st := disabled.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("disabled cache counted: %+v", st)
 	}
 }
 
@@ -95,7 +98,8 @@ func TestEvictionBound(t *testing.T) {
 }
 
 // TestCoalescing: concurrent misses on one key run the segment once and
-// all observers share the value; the remainder are counted as coalesced.
+// all observers share the value. The leader counts the one miss; every
+// follower counts as coalesced and never as a miss.
 func TestCoalescing(t *testing.T) {
 	c := NewCache(8)
 	var calls atomic.Int64
@@ -118,9 +122,19 @@ func TestCoalescing(t *testing.T) {
 			vals[i] = v
 		}(i)
 	}
-	// Let the leader win the key and the followers queue behind it, then
-	// release. (A follower that arrives after completion hits the LRU
-	// instead — also a single computation.)
+	// Let the leader win the key and every follower attach to its
+	// computation (a follower is counted as coalesced before it waits),
+	// then release.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Coalesced < workers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("followers never attached: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("misses = %d with followers attached, want 1 (%+v)", st.Misses, st)
+	}
 	close(release)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
@@ -132,8 +146,42 @@ func TestCoalescing(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Hits+st.Coalesced != workers-1 {
-		t.Fatalf("hits %d + coalesced %d != %d", st.Hits, st.Coalesced, workers-1)
+	if st.Misses != 1 || st.Hits+st.Coalesced != workers-1 {
+		t.Fatalf("misses %d, hits %d + coalesced %d != %d", st.Misses, st.Hits, st.Coalesced, workers-1)
+	}
+}
+
+// TestDoPanicDoesNotBlockKey: a segment computation that panics must
+// not leave its key in flight — the next Do on the key computes
+// instead of waiting forever on the dead leader.
+func TestDoPanicDoesNotBlockKey(t *testing.T) {
+	c := NewCache(8)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("compute panic did not propagate")
+			}
+		}()
+		_, _ = Do(c, "seg", pair{1, 1}, func() (int, error) { panic("boom") })
+	}()
+	done := make(chan int, 1)
+	go func() {
+		v, err := Do(c, "seg", pair{1, 1}, func() (int, error) { return 2, nil })
+		if err != nil {
+			t.Error(err)
+		}
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		if v != 2 {
+			t.Fatalf("Do after panic = %d, want 2", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do on a key whose computation panicked is still blocked")
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want 2 misses (the panic and the recompute) and 1 entry", st)
 	}
 }
 

@@ -73,9 +73,9 @@ func TestEvaluateMemoBitIdentical(t *testing.T) {
 	tl := randomTimeline(3, 9)
 	want := m.Evaluate(tl, UnitLoad)
 	c := memo.NewCache(16)
-	for _, cache := range []*memo.Cache{nil, c, c} { // nil, cold, warm
+	for i, cache := range []*memo.Cache{nil, c, c} {
 		if got := m.EvaluateMemo(cache, tl, UnitLoad); got != want {
-			t.Fatalf("cache=%v: got %+v want %+v", cache.Enabled(), got, want)
+			t.Fatalf("pass %d (nil, cold, warm): got %+v want %+v", i, got, want)
 		}
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {

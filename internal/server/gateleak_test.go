@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"burstlink/internal/api"
 )
 
 // These are the runtime halves of the guarantees gatecheck proves
@@ -84,4 +86,45 @@ func TestPanickingHandlerDoesNotLeakSlot(t *testing.T) {
 		}()
 	}
 	drainGate(t, s, 2)
+}
+
+// TestPanickingComputeFailsFollowers: a computation that panics must
+// not strand the requests coalesced onto it. A follower gets a 500
+// "internal" error instead of an empty body or an endless wait (which
+// would ignore its deadline and keep its admission slot), and the next
+// request for the scenario computes afresh.
+func TestPanickingComputeFailsFollowers(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		s.execute(ctx, "k", func() ([]byte, *api.Error) {
+			close(started)
+			<-release
+			panic("compute exploded")
+		})
+	}()
+	<-started
+	followerErr := make(chan *api.Error, 1)
+	go func() {
+		_, _, aerr := s.execute(ctx, "k", func() ([]byte, *api.Error) { return []byte("follower"), nil })
+		followerErr <- aerr
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Coalesced == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never attached to the in-flight computation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if aerr := <-followerErr; aerr == nil || aerr.Status != http.StatusInternalServerError || aerr.Code != "internal" {
+		t.Fatalf("follower error = %v, want a 500 internal error", aerr)
+	}
+	body, status, aerr := s.execute(ctx, "k", func() ([]byte, *api.Error) { return []byte("fresh"), nil })
+	if aerr != nil || status != api.CacheMiss || string(body) != "fresh" {
+		t.Fatalf("after the panic: %q, %q, %v; want a fresh computation", body, status, aerr)
+	}
 }

@@ -10,16 +10,17 @@
 //     safe;
 //   - coalescing admission: concurrent requests for the same canonical
 //     scenario attach to one in-flight execution instead of recomputing
-//     it, and sweep cells share the session cache, so overlapping
-//     sweeps coalesce cell by cell onto one par execution;
+//     it (the result cache's Do), and sweep cells share the session
+//     cache, so overlapping sweeps coalesce cell by cell onto one par
+//     execution;
 //   - bounded concurrency with queue backpressure: at most MaxConcurrent
 //     model executions run at once (a par.Gate), at most QueueDepth
 //     requests wait, and everything beyond that is rejected with 429 +
 //     Retry-After instead of piling onto the run queue.
 //
-// The package is on parcheck's explicit allowlist: its accept loop,
-// coalescing, and graceful drain are inherently concurrent and cannot be
-// expressed as bounded index fan-out over the par pool.
+// The package is on parcheck's explicit allowlist: its accept loop and
+// graceful drain are inherently concurrent and cannot be expressed as
+// bounded index fan-out over the par pool.
 package server
 
 import (
@@ -109,25 +110,21 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is one blkd instance: a handler tree plus the shared service
-// state (cache, coalescing group, admission gate, counters).
+// state (coalescing result cache, admission gate, counters).
 type Server struct {
-	cfg    Config
-	p      pipeline.Platform
-	m      power.Model
-	eng    session.Engine
-	cache  *cache.LRUOf[[]byte]
-	flight *flightGroup
-	gate   *par.Gate
-	mux    *http.ServeMux
+	cfg   Config
+	p     pipeline.Platform
+	m     power.Model
+	eng   session.Engine
+	cache *cache.LRUOf[[]byte]
+	gate  *par.Gate
+	mux   *http.ServeMux
 
-	requests  atomic.Uint64
-	rejected  atomic.Uint64
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	coalesced atomic.Uint64
-	queued    atomic.Int64
-	inFlight  atomic.Int64
-	peak      atomic.Int64
+	requests atomic.Uint64
+	rejected atomic.Uint64
+	queued   atomic.Int64
+	inFlight atomic.Int64
+	peak     atomic.Int64
 }
 
 // New builds a Server over the default platform and power model.
@@ -135,14 +132,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	p, m := pipeline.DefaultPlatform(), power.Default()
 	s := &Server{
-		cfg:    cfg,
-		p:      p,
-		m:      m,
-		eng:    session.Engine{P: p, M: m, Memo: memo.NewCache(cfg.SegmentCacheEntries)},
-		cache:  cache.NewLRU(cfg.CacheEntries),
-		flight: newFlightGroup(),
-		gate:   par.NewGate(cfg.MaxConcurrent),
-		mux:    http.NewServeMux(),
+		cfg:   cfg,
+		p:     p,
+		m:     m,
+		eng:   session.Engine{P: p, M: m, Memo: memo.NewCache(cfg.SegmentCacheEntries)},
+		cache: cache.NewLRU(cfg.CacheEntries),
+		gate:  par.NewGate(cfg.MaxConcurrent),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
@@ -198,44 +194,33 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// execute produces the response body for key: result cache first, then
-// attach to or lead the in-flight execution of the same scenario, then
-// compute. Successful bodies are cached, so each scenario is computed
-// once while it stays cached.
+// cacheStatus maps a result-cache outcome to its X-Cache value.
+var cacheStatus = [...]api.CacheStatus{
+	cache.Hit:       api.CacheHit,
+	cache.Miss:      api.CacheMiss,
+	cache.Coalesced: api.CacheCoalesced,
+}
+
+// execute produces the response body for key through the result cache:
+// a cached body is a hit, a request that finds the same scenario in
+// flight shares its result, and otherwise this request computes. A
+// successful body is cached, so each scenario is computed once while
+// it stays cached.
 func (s *Server) execute(ctx context.Context, key string, compute func() ([]byte, *api.Error)) ([]byte, api.CacheStatus, *api.Error) {
-	if body, ok := s.cache.Get(key); ok {
-		s.hits.Add(1)
-		return body, api.CacheHit, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, "", api.ContextError(err)
-	}
-	hit := false
-	body, aerr, leader := s.flight.Do(key, func() ([]byte, *api.Error) {
-		// A previous leader may have cached key and left the flight
-		// between the Get above and this call.
-		if body, ok := s.cache.Get(key); ok {
-			hit = true
-			return body, nil
+	body, outcome, err := s.cache.Do(key, func() ([]byte, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, api.ContextError(err)
 		}
 		body, aerr := compute()
-		if aerr == nil {
-			s.cache.Put(key, body)
+		if aerr != nil {
+			return nil, aerr
 		}
-		return body, aerr
+		return body, nil
 	})
-	if hit {
-		s.hits.Add(1)
-		return body, api.CacheHit, nil
+	if err != nil {
+		return nil, "", api.AsError(err)
 	}
-	if leader {
-		if aerr == nil {
-			s.misses.Add(1)
-		}
-		return body, api.CacheMiss, aerr
-	}
-	s.coalesced.Add(1)
-	return body, api.CacheCoalesced, aerr
+	return body, cacheStatus[outcome], nil
 }
 
 // runSession executes one normalized, validated session request.
@@ -474,21 +459,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) NodeHealth() api.Health {
 	cs := s.cache.Stats()
 	ms := s.eng.Memo.Stats()
-	h := api.Health{
+	return api.Health{
 		Node:           s.cfg.NodeID,
 		Status:         "ok",
 		InFlight:       int(s.inFlight.Load()),
 		Queued:         int(s.queued.Load()),
 		CacheEntries:   cs.Entries,
+		CacheFill:      float64(cs.Entries) / float64(cs.Capacity),
 		SegmentEntries: ms.Entries,
+		SegmentFill:    float64(ms.Entries) / float64(ms.Capacity),
 	}
-	if cs.Capacity > 0 {
-		h.CacheFill = float64(cs.Entries) / float64(cs.Capacity)
-	}
-	if ms.Capacity > 0 {
-		h.SegmentFill = float64(ms.Entries) / float64(ms.Capacity)
-	}
-	return h
 }
 
 // handleSnapshot serves GET /v1/snapshot: the node's result and segment
@@ -537,15 +517,16 @@ func (s *Server) Warm(r io.Reader) (*cluster.Snapshot, error) {
 func (s *Server) Stats() api.Stats {
 	cs := s.cache.Stats()
 	ms := s.eng.Memo.Stats()
-	st := api.Stats{
+	return api.Stats{
 		Node:             s.cfg.NodeID,
 		Requests:         s.requests.Load(),
 		Rejected:         s.rejected.Load(),
-		CacheHits:        s.hits.Load(),
-		CacheMisses:      s.misses.Load(),
-		Coalesced:        s.coalesced.Load(),
+		CacheHits:        cs.Hits,
+		CacheMisses:      cs.Misses,
+		Coalesced:        cs.Coalesced,
 		CacheEntries:     cs.Entries,
 		CacheCapacity:    cs.Capacity,
+		HitRatio:         cs.HitRatio(),
 		InFlight:         int(s.inFlight.Load()),
 		Queued:           int(s.queued.Load()),
 		MaxInFlight:      int(s.peak.Load()),
@@ -555,14 +536,8 @@ func (s *Server) Stats() api.Stats {
 		SegmentCoalesced: ms.Coalesced,
 		SegmentEntries:   ms.Entries,
 		SegmentCapacity:  ms.Capacity,
+		SegmentHitRatio:  ms.HitRatio(),
 	}
-	if total := st.CacheHits + st.CacheMisses + st.Coalesced; total > 0 {
-		st.HitRatio = float64(st.CacheHits+st.Coalesced) / float64(total)
-	}
-	if total := st.SegmentHits + st.SegmentMisses; total > 0 {
-		st.SegmentHitRatio = float64(st.SegmentHits) / float64(total)
-	}
-	return st
 }
 
 // marshalBody encodes v, mapping the (practically impossible) encode

@@ -274,67 +274,23 @@ func TestHealthAndStats(t *testing.T) {
 	if st.HitRatio <= 0 || st.HitRatio >= 1 {
 		t.Fatalf("hit ratio = %v", st.HitRatio)
 	}
-}
 
-// TestFlightCoalesces pins the coalescing mechanism itself: while a
-// leader's execution is in flight, followers on the same key attach to
-// it, share its exact result, and the compute function runs once.
-func TestFlightCoalesces(t *testing.T) {
-	fg := newFlightGroup()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	calls := 0
-
-	type outcome struct {
-		body   []byte
-		leader bool
-	}
-	leaderDone := make(chan outcome, 1)
-	go func() {
-		body, _, leader := fg.Do("k", func() ([]byte, *api.Error) {
-			calls++
-			close(started)
-			<-release
-			return []byte("leader-body"), nil
-		})
-		leaderDone <- outcome{body, leader}
-	}()
-	<-started
-
-	const followers = 4
-	followerDone := make(chan outcome, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			body, _, leader := fg.Do("k", func() ([]byte, *api.Error) {
-				t.Error("follower compute ran; request was not coalesced")
-				return []byte("follower-body"), nil
-			})
-			followerDone <- outcome{body, leader}
-		}()
-	}
-	// Give the followers time to attach to the in-flight call; one that
-	// hadn't would run its compute and fail the test above.
-	time.Sleep(100 * time.Millisecond)
-	close(release)
-
-	ld := <-leaderDone
-	if !ld.leader || string(ld.body) != "leader-body" {
-		t.Fatalf("leader outcome = %+v", ld)
-	}
-	for i := 0; i < followers; i++ {
-		fo := <-followerDone
-		if fo.leader || string(fo.body) != "leader-body" {
-			t.Fatalf("follower outcome = %+v", fo)
+	// A failed computation is never cached, and each one counts as a
+	// miss: an infeasible scenario sent twice computes twice.
+	infeasible := api.SessionRequest{Scheme: "burstlink", Resolution: "8192x8192", Refresh: 480, FPS: 480, Seconds: 1, BPP: 64}
+	for i := 0; i < 2; i++ {
+		if status, _, body := post(t, ts.URL+"/v1/session", infeasible); status != http.StatusUnprocessableEntity {
+			t.Fatalf("infeasible request %d: status %d, body %s", i, status, body)
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
+	status, body = get(t, ts.URL+"/v1/stats")
+	var after api.Stats
+	if err := json.Unmarshal(body, &after); status != 200 || err != nil {
+		t.Fatalf("stats status %d, err %v", status, err)
 	}
-
-	// The flight table is empty again: a later request recomputes.
-	body, _, leader := fg.Do("k", func() ([]byte, *api.Error) { return []byte("fresh"), nil })
-	if !leader || string(body) != "fresh" {
-		t.Fatalf("post-flight Do = %q leader=%v", body, leader)
+	if after.CacheMisses != st.CacheMisses+2 || after.CacheHits != st.CacheHits {
+		t.Fatalf("two failed computations moved misses %d → %d, hits %d → %d; want misses +2",
+			st.CacheMisses, after.CacheMisses, st.CacheHits, after.CacheHits)
 	}
 }
 
