@@ -28,60 +28,14 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
-# The fact cache is keyed on package contents and the analyzer set, but
-# a change to blklint's own implementation (same analyzer names and
-# docs, different behavior) is invisible to those keys. Hash the tool's
-# sources and drop the cache whenever they change, so a stale cache can
-# never mask a finding a newer analyzer would report.
-toolhash=$(find internal/lint cmd/blklint -name '*.go' -not -path '*/testdata/*' -print | LC_ALL=C sort \
-    | xargs cat | git hash-object --stdin)
-if [ -d .blklint-cache ] && [ "$(cat .blklint-cache/.toolhash 2>/dev/null)" != "$toolhash" ]; then
-    echo "== blklint sources changed; dropping .blklint-cache"
-    rm -rf .blklint-cache
-fi
+# Domain static analysis over the whole module, the same run locally
+# and in CI: findings (exit 1) and type errors (exit 2) both fail here.
+echo "== blklint ./..."
+go run ./cmd/blklint ./...
 
-# Locally, lint only what changed since the merge base with origin/main
-# (fast inner loop); CI always runs the full module so nothing hides
-# behind an old ref. If origin/main is absent entirely (fresh clone with
-# no remote), fall back to the full run. But if the ref exists and no
-# merge base can be computed (detached head, unrelated or shallow
-# history), fail loudly: diffing against a non-ancestor produces a bogus
-# changed-set, and a silently-empty one would pass lint on code that was
-# never analyzed.
-if [ -z "$CI" ] && git rev-parse --verify --quiet origin/main >/dev/null 2>&1; then
-    if ! base=$(git merge-base HEAD origin/main 2>/dev/null); then
-        echo "check.sh: origin/main exists but has no merge base with HEAD" >&2
-        echo "  (detached head, shallow clone, or unrelated history)" >&2
-        echo "  fix the checkout (git fetch --unshallow / reattach) or run CI=1 ./check.sh for a full-module lint" >&2
-        exit 1
-    fi
-    echo "== blklint -changed $base (merge base with origin/main)"
-    go run ./cmd/blklint -changed "$base"
-else
-    echo "== blklint ./..."
-    go run ./cmd/blklint ./...
-fi
-
-# Warm-cache smoke: prime the fact cache, then re-run and require that
-# the second pass actually served packages from it. This is the one
-# place the incremental path is exercised end-to-end on every check, so
-# a cache that silently stopped warming fails here, not in a slow CI.
-echo "== blklint fact cache smoke"
-go run ./cmd/blklint -cache ./...
-mkdir -p .blklint-cache
-printf '%s\n' "$toolhash" > .blklint-cache/.toolhash
-cached=$(go run ./cmd/blklint -cache ./... 2>&1 >/dev/null \
-    | sed -n 's/^blklint: fact cache: \([0-9]*\)\/.*$/\1/p')
-if [ -z "$cached" ] || [ "$cached" -eq 0 ]; then
-    echo "blklint fact cache: warm run served ${cached:-no} packages from cache; cache is not warming" >&2
-    exit 1
-fi
-echo "warm run served $cached packages from cache"
-
-# blklint's timings (module load, each analyzer, the full set, a warm
-# fact-cache re-lint) live in one go test benchmark; one iteration of
-# each keeps it from rotting. For timings with a spread, drop -benchtime
-# and pass -count N.
+# blklint's timings (module load, each analyzer, the full set) live in
+# one go test benchmark; one iteration of each keeps it from rotting.
+# For timings with a spread, drop -benchtime and pass -count N.
 echo "== blklint analyzer benchmark (one iteration each)"
 go test -run '^$' -bench BenchmarkAnalyzers -benchtime 1x ./internal/lint
 

@@ -10,27 +10,24 @@
 //
 // Usage:
 //
-//	go run ./cmd/blklint [-json|-sarif] [-only analyzer[,analyzer]] [-changed ref] [-cache] [-cache-dir dir] [packages]
+//	go run ./cmd/blklint [-json|-sarif] [-only analyzer[,analyzer]] [packages]
 //
 // Packages default to ./... . Findings print as
 // file:line:col: analyzer: message; -json emits the machine-readable
-// schema and -sarif a SARIF 2.1.0 log instead. -changed ref scopes the
-// run to packages with Go files differing from the git ref (the local
-// pre-commit loop); CI runs the full module. -cache serves unchanged
-// packages from the incremental fact cache (default .blklint-cache under
-// the module root; override with -cache-dir) and prints a stats line to
-// stderr: "blklint: fact cache: N/M packages cached, K analyzed".
-// Exit status: 0 clean, 1 findings, 2 operational error. Suppress a
-// finding with //lint:ignore <analyzer> <reason> on the finding's line
-// or the line above it.
+// schema and -sarif a SARIF 2.1.0 log instead. The standard library is
+// read from the go command's export data, so `go` must be on PATH.
+// Exit status: 0 clean, 1 findings, 2 operational error (including code
+// that does not type-check). Suppress a finding with
+// //lint:ignore <analyzer> <reason> on the finding's line or the line
+// above it.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"burstlink/internal/lint"
@@ -40,17 +37,14 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("blklint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	only := fs.String("only", "", "comma-separated analyzer subset (default: all)")
-	changed := fs.String("changed", "", "analyze only packages with Go files changed since this git ref")
-	useCache := fs.Bool("cache", false, "serve unchanged packages from the incremental fact cache")
-	cacheDir := fs.String("cache-dir", ".blklint-cache", "fact cache directory (relative paths resolve against the module root)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: blklint [-json|-sarif] [-only analyzers] [-changed ref] [-cache] [-cache-dir dir] [packages]")
+		fmt.Fprintln(stderr, "usage: blklint [-json|-sarif] [-only analyzers] [packages]")
 		fmt.Fprintln(stderr, "analyzers:")
 		for _, a := range lint.All() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -91,67 +85,34 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	patterns := fs.Args()
-	if *changed != "" {
-		if *useCache {
-			fmt.Fprintln(stderr, "blklint: -changed and -cache are mutually exclusive")
-			return 2
-		}
-		if len(patterns) != 0 {
-			fmt.Fprintln(stderr, "blklint: -changed and explicit packages are mutually exclusive")
-			return 2
-		}
-		patterns, err = lint.ChangedPatterns(root, *changed)
-		if err != nil {
-			fmt.Fprintf(stderr, "blklint: %v\n", err)
-			return 2
-		}
-		if len(patterns) == 0 {
-			// Nothing Go-visible changed: a clean run by definition.
-			return emit(nil, analyzers, root, *jsonOut, *sarifOut, stdout, stderr)
-		}
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *useCache {
-		dir := *cacheDir
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(root, dir)
-		}
-		findings, stats, err := lint.RunCached(cwd, dir, patterns, analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "blklint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "blklint: fact cache: %d/%d packages cached, %d analyzed\n",
-			stats.Cached, stats.Packages, stats.Analyzed)
-		return emit(findings, analyzers, root, *jsonOut, *sarifOut, stdout, stderr)
 	}
 	pkgs, err := lint.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "blklint: %v\n", err)
 		return 2
 	}
+	// Analyses of code that does not type-check prove nothing.
+	typeErrs := false
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			fmt.Fprintf(stderr, "blklint: typecheck %s: %v\n", pkg.PkgPath, terr)
+			typeErrs = true
 		}
+	}
+	if typeErrs {
+		return 2
 	}
 
 	findings := lint.RunAnalyzers(pkgs, analyzers)
-	return emit(findings, analyzers, root, *jsonOut, *sarifOut, stdout, stderr)
-}
-
-// emit writes findings in the selected format and maps them to the exit
-// status contract (0 clean, 1 findings, 2 operational error).
-func emit(findings []lint.Finding, analyzers []*lint.Analyzer, root string, jsonOut, sarifOut bool, stdout, stderr *os.File) int {
 	switch {
-	case jsonOut:
+	case *jsonOut:
 		if err := json.NewEncoder(stdout).Encode(lint.Report(findings)); err != nil {
 			fmt.Fprintf(stderr, "blklint: %v\n", err)
 			return 2
 		}
-	case sarifOut:
+	case *sarifOut:
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(lint.SARIFReport(findings, analyzers, root)); err != nil {

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"time"
 
@@ -59,7 +60,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	client := api.NewClient(*url)
+	// One idle connection per worker: with net/http's default of 2 per
+	// host, every request past the second overlapping one would dial a
+	// fresh connection.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = *c
+	tr.MaxIdleConnsPerHost = *c
+	client := api.NewClient(*url).WithHTTPClient(&http.Client{Transport: tr})
 	if err := client.Health(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "blkload: %s is not healthy: %v\n", *url, err)
 		os.Exit(1)

@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +219,40 @@ func TestRunLoadThroughRouter(t *testing.T) {
 	}
 	if misses != uint64(len(distinct)) {
 		t.Errorf("summed node misses = %d, want %d (one per distinct scheduled key)", misses, len(distinct))
+	}
+}
+
+// TestRouterReusesBackendConns pins the default client's idle pool: a
+// router forwarding 16 concurrent workers' requests to one node must
+// reuse its connections, not dial one per request past the second as
+// net/http's default pool of 2 per host does (over 300 for this load).
+func TestRouterReusesBackendConns(t *testing.T) {
+	var conns atomic.Int64
+	node := httptest.NewUnstartedServer(server.New(server.Config{NodeID: "a"}).Handler())
+	node.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	node.Start()
+	defer node.Close()
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Backends: []string{node.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	opts := api.LoadOptions{Concurrency: 16, Requests: 16 * 50, DupRate: 0.5, Seed: 1, Now: time.Now}
+	rep, err := api.RunLoad(context.Background(), api.NewClient(front.URL), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("%d/%d requests failed (first: %s)", rep.Errors, rep.Requests, rep.FirstError)
+	}
+	if n := conns.Load(); n > 32 {
+		t.Errorf("router opened %d connections to its node for %d requests from %d workers, want at most 32", n, opts.Requests, opts.Concurrency)
 	}
 }
 

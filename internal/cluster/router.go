@@ -26,10 +26,19 @@ type RouterConfig struct {
 	// Backends are the member blkd base URLs (e.g.
 	// "http://10.0.0.1:8080"). At least one is required.
 	Backends []string
-	// Client issues the forwarded requests (default
-	// http.DefaultClient).
+	// Client issues the forwarded requests (default: a client whose
+	// idle pool keeps backendIdleConns connections per backend).
 	Client *http.Client
 }
+
+// backendIdleConns is the default client's idle-connection pool per
+// backend. net/http keeps 2 per host, so once more than 2 forwards to
+// one backend overlap, each finishing one beyond the second closes its
+// connection and the next forward dials a new one: 16 workers sending
+// 800 sessions through a router opened 319–370 connections to its one
+// node, against 16–17 with this pool. 64 matches a node's default
+// QueueDepth, the most requests it holds waiting.
+const backendIdleConns = 64
 
 // Router is the thin routing front of a blkd fleet (`blkd -route
 // node1,node2,...`): it decodes each request exactly as a backend
@@ -63,7 +72,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.Node = "router"
 	}
 	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = backendIdleConns * ring.Len()
+		tr.MaxIdleConnsPerHost = backendIdleConns
+		cfg.Client = &http.Client{Transport: tr}
 	}
 	rt := &Router{
 		node:      cfg.Node,
@@ -191,8 +203,9 @@ func (rt *Router) handleExp(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, api.ExpCacheKey(id), http.MethodGet, "/v1/exp/"+id, nil)
 }
 
-// handleExpList serves GET /v1/exp from the first ring member — the
-// catalogue is static and identical on every node.
+// handleExpList serves GET /v1/exp from the ring owner of
+// ExpCacheKey("") — the catalogue is static and identical on every
+// node.
 func (rt *Router) handleExpList(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, api.ExpCacheKey(""), http.MethodGet, "/v1/exp", nil)
 }

@@ -7,12 +7,11 @@ import "testing"
 var benchFindings []Finding
 
 // BenchmarkAnalyzers times blklint over the whole module: `load` is
-// parsing and type-checking every package, then one sub-benchmark per
-// analyzer and `all`, the full set as `blklint ./...` runs it, over a
-// module loaded once outside those timings. Every iteration builds a
-// fresh Program, so no summary is memoized across iterations. `warm` is
-// a fact-cache run with every package already cached, as a no-op
-// `blklint -cache ./...` re-lint. Run with -count for a spread:
+// parsing and type-checking every package (the standard library from
+// export data), then one sub-benchmark per analyzer and `all`, the full
+// set as `blklint ./...` runs it, over a module loaded once outside
+// those timings. Every iteration builds a fresh Program, so no summary
+// is memoized across iterations. Run with -count for a spread:
 //
 //	go test -run '^$' -bench BenchmarkAnalyzers -count 5 ./internal/lint
 func BenchmarkAnalyzers(b *testing.B) {
@@ -39,21 +38,4 @@ func BenchmarkAnalyzers(b *testing.B) {
 		run(a.Name, []*Analyzer{a})
 	}
 	run("all", All())
-
-	cacheDir := b.TempDir()
-	if _, _, err := RunCached(".", cacheDir, patterns, All()); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			findings, stats, err := RunCached(".", cacheDir, patterns, All())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Cached != stats.Packages {
-				b.Fatalf("warm run served %d of %d packages from the cache", stats.Cached, stats.Packages)
-			}
-			benchFindings = findings
-		}
-	})
 }

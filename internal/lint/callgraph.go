@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // Program is the module-wide view one RunAnalyzers call shares across
@@ -17,44 +16,18 @@ type Program struct {
 	graph *CallGraph
 	cfgs  map[*ast.BlockStmt]*CFG
 	cache map[string]any
-	// lockEdges collects each analyzed package's acquisition-order
-	// edges for the module-global lock-order cycle phase.
-	lockEdges map[string][]LockEdge
+	// lockEdges collects every package's acquisition-order edges for
+	// the module-global lock-order cycle phase.
+	lockEdges []lockEdge
 }
 
 // NewProgram wraps the packages of one analysis run.
 func NewProgram(pkgs []*Package) *Program {
 	return &Program{
-		Pkgs:      pkgs,
-		cfgs:      make(map[*ast.BlockStmt]*CFG),
-		cache:     make(map[string]any),
-		lockEdges: make(map[string][]LockEdge),
+		Pkgs:  pkgs,
+		cfgs:  make(map[*ast.BlockStmt]*CFG),
+		cache: make(map[string]any),
 	}
-}
-
-// setLockEdges records one package's acquisition-order edges.
-func (p *Program) setLockEdges(pkgPath string, edges []LockEdge) {
-	p.lockEdges[pkgPath] = edges
-}
-
-// LockEdgesOf returns the edges recorded for one package (nil when the
-// lockorder pass has not run on it).
-func (p *Program) LockEdgesOf(pkgPath string) []LockEdge {
-	return p.lockEdges[pkgPath]
-}
-
-// LockEdges returns every recorded edge, ordered by package path.
-func (p *Program) LockEdges() []LockEdge {
-	paths := make([]string, 0, len(p.lockEdges))
-	for path := range p.lockEdges {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	var out []LockEdge
-	for _, path := range paths {
-		out = append(out, p.lockEdges[path]...)
-	}
-	return out
 }
 
 // CFG returns the memoized control-flow graph for a function body, so

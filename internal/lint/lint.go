@@ -1,7 +1,8 @@
 // Package lint is blklint's analysis engine: a small, stdlib-only
 // reimplementation of the go/analysis driver pattern (go/ast + go/types,
-// source importer, no external modules) carrying the domain analyzers the
-// BurstLink simulator needs to stay trustworthy:
+// module packages from source and the standard library from the go
+// command's export data, no external modules) carrying the domain
+// analyzers the BurstLink simulator needs to stay trustworthy:
 //
 //   - determcheck: the simulator must be a pure function of its inputs.
 //     Wall-clock reads, the global math/rand source, and float
@@ -51,18 +52,14 @@
 //
 //   - lockorder: a module-wide mutex acquisition-order graph (edges
 //     recorded when one lock is taken while another is held, one call
-//     level deep) whose cycles are potential deadlocks.
+//     level deep) whose cycles, self-loops included, are potential
+//     deadlocks.
 //   - leakcheck: goroutines spawned in the service packages must not be
 //     able to block forever on a channel op or Gate.Acquire without a
 //     ctx.Done()/close-signal escape, and wg.Done must be reached on
 //     every goroutine path.
 //   - chancheck: channel discipline — no send on a possibly-closed
 //     channel, no double close, no close by a pure receiver.
-//
-// Warm runs can skip load and analysis for unchanged packages through
-// the incremental fact cache (factcache.go): per-package findings and
-// lock-order edges serialize under .blklint-cache/, keyed by a content
-// hash of the package's files plus its dependencies' fact hashes.
 //
 // Findings support //lint:ignore <analyzer> <reason> suppressions on the
 // finding's line or the line above it.
@@ -157,66 +154,35 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// RunAnalyzers applies each analyzer (honoring Scope) to each package and
-// returns the surviving findings after //lint:ignore suppression, sorted
-// by position. Fixture packages under a testdata directory are loaded by
-// tests only, never by the production driver.
+// RunAnalyzers applies each analyzer (honoring Scope) to each package,
+// then reports the lock-order cycles over every package's acquisition
+// edges, and returns the surviving findings after //lint:ignore
+// suppression, sorted by position. Fixture packages under a testdata
+// directory are loaded by tests only, never by the production driver.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
-		findings = append(findings, analyzePackage(prog, pkg, analyzers)...)
+		for _, a := range analyzers {
+			if a.Scope != nil && !a.Scope(pkg.PkgPath) {
+				continue
+			}
+			a.Run(&Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				PkgPath:   pkg.PkgPath,
+				Prog:      prog,
+				findings:  &findings,
+			})
+		}
 	}
-	findings = append(findings, moduleFindings(prog, pkgs, analyzers)...)
+	findings = append(findings, lockOrderCycles(prog.lockEdges)...)
+	findings = Suppress(findings, pkgs)
 	SortFindings(findings)
 	return findings
-}
-
-// analyzePackage runs every in-scope analyzer on one package and returns
-// the package's own findings after //lint:ignore suppression. Module-
-// global findings (lock-order cycles) are excluded — they depend on
-// every package's facts and are appended by RunAnalyzers and RunCached
-// once all packages have contributed. The split is what makes a
-// package's findings a pure function of its own sources plus its
-// dependencies, which is the property the fact cache keys on.
-func analyzePackage(prog *Program, pkg *Package, analyzers []*Analyzer) []Finding {
-	var findings []Finding
-	for _, a := range analyzers {
-		if a.Scope != nil && !a.Scope(pkg.PkgPath) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			PkgPath:   pkg.PkgPath,
-			Prog:      prog,
-			findings:  &findings,
-		}
-		a.Run(pass)
-	}
-	return Suppress(findings, []*Package{pkg})
-}
-
-// moduleFindings derives the global-phase findings once every package
-// has contributed its facts: lock-order cycles over the union of all
-// recorded acquisition edges.
-func moduleFindings(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	if !hasAnalyzer(analyzers, LockOrder) {
-		return nil
-	}
-	return Suppress(LockOrderCycles(prog.LockEdges()), pkgs)
-}
-
-func hasAnalyzer(analyzers []*Analyzer, want *Analyzer) bool {
-	for _, a := range analyzers {
-		if a == want {
-			return true
-		}
-	}
-	return false
 }
 
 // SortFindings orders findings by file, line, column, analyzer.

@@ -391,7 +391,7 @@ func TestScopes(t *testing.T) {
 // module-internal importer.
 func TestLoadModule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("module load compiles dependencies from source")
+		t.Skip("module load runs go list for the standard library's export data")
 	}
 	pkgs, err := Load(".", []string{"./internal/par", "./internal/units"})
 	if err != nil {

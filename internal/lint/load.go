@@ -7,9 +7,12 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -27,8 +30,8 @@ type Package struct {
 }
 
 // loader parses and type-checks module packages on demand, resolving
-// module-internal imports from source and delegating everything else
-// (the standard library) to the stdlib source importer.
+// module-internal imports from source and everything else (the standard
+// library) from the compiler's export data.
 type loader struct {
 	fset     *token.FileSet
 	modRoot  string
@@ -36,7 +39,7 @@ type loader struct {
 	dirs     map[string]string // import path -> directory
 	loaded   map[string]*Package
 	loading  map[string]bool // cycle guard
-	fallback types.Importer
+	external types.Importer
 }
 
 // FindModuleRoot walks up from dir to the nearest go.mod.
@@ -87,8 +90,8 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	ld := newLoader(modRoot, modPath)
-	if err := ld.discover(); err != nil {
+	ld, err := newLoader(modRoot, modPath)
+	if err != nil {
 		return nil, err
 	}
 	want, err := ld.match(patterns)
@@ -111,24 +114,100 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 // that lets testdata packages import each other (e.g. the stub
 // burstlink/internal/par the gatecheck fixtures acquire slots from).
 func LoadTree(root, modPath, pkgPath string) (*Package, error) {
-	ld := newLoader(root, modPath)
-	if err := ld.discover(); err != nil {
+	ld, err := newLoader(root, modPath)
+	if err != nil {
 		return nil, err
 	}
 	return ld.load(pkgPath)
 }
 
-func newLoader(modRoot, modPath string) *loader {
-	fset := token.NewFileSet()
-	return &loader{
-		fset:     fset,
-		modRoot:  modRoot,
-		modPath:  modPath,
-		dirs:     make(map[string]string),
-		loaded:   make(map[string]*Package),
-		loading:  make(map[string]bool),
-		fallback: importer.ForCompiler(fset, "source", nil),
+// newLoader maps every package under modRoot and locates the export
+// data of everything they import from outside the module.
+func newLoader(modRoot, modPath string) (*loader, error) {
+	ld := &loader{
+		fset:    token.NewFileSet(),
+		modRoot: modRoot,
+		modPath: modPath,
+		dirs:    make(map[string]string),
+		loaded:  make(map[string]*Package),
+		loading: make(map[string]bool),
 	}
+	if err := ld.discover(); err != nil {
+		return nil, err
+	}
+	exports, err := ld.listExports()
+	if err != nil {
+		return nil, err
+	}
+	ld.external = importer.ForCompiler(ld.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	return ld, nil
+}
+
+// listExports asks one go list for the export data files of every
+// package the module imports from outside itself, compiling those the
+// build cache lacks. The build context (GOOS, GOARCH, CGO_ENABLED, tags
+// in GOFLAGS) comes from the environment.
+func (ld *loader) listExports() (map[string]string, error) {
+	paths, err := ld.externalImports()
+	if err != nil || len(paths) == 0 {
+		return nil, err
+	}
+	args := append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = ld.modRoot
+	out, err := cmd.Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			err = fmt.Errorf("%w: %s", err, strings.TrimSpace(string(ee.Stderr)))
+		}
+		return nil, fmt.Errorf("lint: go list -export: %w", err)
+	}
+	exports := make(map[string]string, len(paths))
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
+}
+
+// externalImports returns the sorted import paths of every discovered
+// package that resolve outside the module, from an imports-only parse.
+// A file whose import clause does not parse is skipped here; loading its
+// package reports the syntax error.
+func (ld *loader) externalImports() ([]string, error) {
+	set := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, dir := range ld.dirs {
+		files, err := sourceFiles(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				continue
+			}
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value) // the parse validated it
+				if _, internal := ld.dirs[path]; !internal {
+					set[path] = true
+				}
+			}
+		}
+	}
+	paths := make([]string, 0, len(set))
+	for path := range set {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths, nil
 }
 
 // discover maps every package directory in the module to its import
@@ -170,20 +249,23 @@ func hasGoMod(dir string) bool {
 
 // hasGoSource reports whether dir directly contains a non-test .go file.
 func hasGoSource(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
-			return true
-		}
-	}
-	return false
+	files, err := sourceFiles(dir)
+	return err == nil && len(files) > 0
 }
 
-func isSourceFile(name string) bool {
-	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+// sourceFiles lists the paths of dir's non-test .go files, sorted.
+func sourceFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			files = append(files, filepath.Join(dir, name))
+		}
+	}
+	return files, nil
 }
 
 // match expands patterns to a sorted list of known import paths.
@@ -237,16 +319,13 @@ func (ld *loader) load(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown package %s", path)
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := sourceFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !isSourceFile(e.Name()) {
-			continue
-		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(ld.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +359,7 @@ func (ld *loader) load(path string) (*Package, error) {
 }
 
 // modImporter resolves module-internal imports through the loader and
-// everything else through the stdlib source importer.
+// everything else from export data.
 type modImporter loader
 
 func (m *modImporter) Import(path string) (*types.Package, error) {
@@ -292,5 +371,5 @@ func (m *modImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return ld.fallback.Import(path)
+	return ld.external.Import(path)
 }

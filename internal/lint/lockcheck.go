@@ -34,8 +34,8 @@ var LockCheck = &Analyzer{
 	Run:  runLockCheck,
 }
 
-// lockFact is the set of definitely-held mutexes: expr string → Lock
-// call position.
+// lockFact is the set of definitely-held mutexes: mutex key → Lock call
+// position.
 type lockFact map[string]token.Pos
 
 func lockFactEqual(a, b any) bool {
@@ -85,10 +85,22 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]st
 	}
 	nonBlocking := nonBlockingComms(body)
 	caps := chanMakeCaps(pass, body)
+	reported := make(map[token.Pos]bool)
+	forEachHeld(pass, body, types.ExprString, func(n ast.Node, held lockFact) {
+		reportBlockingOps(pass, n, held, summaries, nonBlocking, caps, reported)
+	})
+}
+
+// forEachHeld is the held-set dataflow lockcheck and lockorder share: a
+// forward pass over body's CFG tracking the mutexes definitely held
+// (join = intersection), each named by key. It replays every reachable
+// block and calls visit with each node reached while a mutex is held,
+// and the set held just before it.
+func forEachHeld(pass *Pass, body *ast.BlockStmt, key func(ast.Expr) string, visit func(n ast.Node, held lockFact)) {
 	cfg := pass.Prog.CFG(body)
 	transfer := func(fact any, n ast.Node) any {
 		f := fact.(lockFact)
-		key, method, ok := mutexOp(pass, n)
+		k, method, ok := mutexOp(pass, n, key)
 		if !ok {
 			return f
 		}
@@ -98,9 +110,9 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]st
 		}
 		switch method {
 		case "Lock", "RLock":
-			out[key] = n.Pos()
+			out[k] = n.Pos()
 		case "Unlock", "RUnlock":
-			delete(out, key)
+			delete(out, k)
 		}
 		return out
 	}
@@ -110,9 +122,6 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]st
 		Join:     lockFactJoin,
 		Equal:    lockFactEqual,
 	})
-	// Reporting pass: replay each reachable block and scan every node
-	// reached with a non-empty hold set for blocking operations.
-	reported := make(map[token.Pos]bool)
 	for _, blk := range cfg.Blocks {
 		fact, ok := in[blk]
 		if !ok {
@@ -121,27 +130,22 @@ func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]st
 		f := fact.(lockFact)
 		for _, n := range blk.Nodes {
 			if len(f) > 0 {
-				reportBlockingOps(pass, n, f, summaries, nonBlocking, caps, reported)
+				visit(n, f)
 			}
 			f = transfer(f, n).(lockFact)
 		}
 	}
 }
 
-// mutexOp returns (receiverKey, method, true) when n is a statement-
+// mutexOp returns (key(receiver), method, true) when n is a statement-
 // level Lock/RLock/Unlock/RUnlock call on a sync.Mutex or sync.RWMutex.
-func mutexOp(pass *Pass, n ast.Node) (string, string, bool) {
-	var e ast.Expr
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		e = n.X
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the section open; no state change.
-		return "", "", false
-	default:
+// defer mu.Unlock() is not one: it keeps the section open to exit.
+func mutexOp(pass *Pass, n ast.Node, key func(ast.Expr) string) (string, string, bool) {
+	stmt, ok := n.(*ast.ExprStmt)
+	if !ok {
 		return "", "", false
 	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
 	if !ok {
 		return "", "", false
 	}
@@ -157,7 +161,7 @@ func mutexOp(pass *Pass, n ast.Node) (string, string, bool) {
 	if !isSyncMutex(pass.TypesInfo.TypeOf(sel.X)) {
 		return "", "", false
 	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	return key(sel.X), sel.Sel.Name, true
 }
 
 // isSyncMutex reports whether t is sync.Mutex/RWMutex (or a pointer).
@@ -256,7 +260,7 @@ func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*typ
 				}
 			}
 		case *ast.CallExpr:
-			if what := blockingCall(pass, m, held, summaries); what != "" {
+			if what := blockingCall(pass, m, summaries); what != "" {
 				report(m.Pos(), what)
 			}
 		}
@@ -265,10 +269,10 @@ func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*typ
 }
 
 // blockingCall classifies a call as blocking: Gate.Acquire, time.Sleep,
-// WaitGroup.Wait, a second Lock of an already-held mutex, anything from
-// net or net/http, or (one level deep) a module function whose body
-// blocks.
-func blockingCall(pass *Pass, call *ast.CallExpr, held lockFact, summaries map[*types.Func]string) string {
+// WaitGroup.Wait, anything from net or net/http, or (one level deep) a
+// module function whose body blocks. Re-acquiring a held mutex is
+// lockorder's one-node cycle.
+func blockingCall(pass *Pass, call *ast.CallExpr, summaries map[*types.Func]string) string {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if gate, method := gateMethod(pass, sel); gate != "" && method == "Acquire" {
 			return "Gate.Acquire (blocks for an admission slot)"
@@ -293,11 +297,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr, held lockFact, summaries map[*
 				}
 				if path == "sync" && named.Obj().Name() == "WaitGroup" && sel.Sel.Name == "Wait" {
 					return "sync.WaitGroup.Wait"
-				}
-				if path == "sync" && (named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex") && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
-					if _, same := held[types.ExprString(sel.X)]; same {
-						return "second Lock of the held mutex (self-deadlock)"
-					}
 				}
 			}
 		}
@@ -341,7 +340,7 @@ func blockingSummaries(pass *Pass) map[*types.Func]string {
 						what = "receives from a channel"
 					}
 				case *ast.CallExpr:
-					if w := blockingCall(p, m, lockFact{}, nil); w != "" {
+					if w := blockingCall(p, m, nil); w != "" {
 						what = "calls " + w
 					}
 				}

@@ -19,19 +19,18 @@ import (
 // deadlocks. The cycle in the static graph is the one artifact that
 // exists before the interleaving does.
 //
-// The per-function analysis reuses lockcheck's held-set dataflow (join =
-// intersection, defer mu.Unlock() keeps the section open to exit), but
-// keys mutexes globally — a field mutex is named by its defining
-// package, owner type, and field (pkg.Type.mu), a package-level mutex by
-// pkg.name — so acquisition sites in different functions and packages
-// land on the same graph node. A self-edge (re-acquiring a mutex already
-// held) is the degenerate one-node cycle, subsuming lockcheck's
-// self-deadlock rule.
+// The per-function analysis shares lockcheck's held-set dataflow
+// (forEachHeld: join = intersection, defer mu.Unlock() keeps the section
+// open to exit), but keys mutexes globally — a field mutex is named by
+// its defining package, owner type, and field (pkg.Type.mu), a
+// package-level mutex by pkg.name — so acquisition sites in different
+// functions and packages land on the same graph node. A self-edge
+// (re-acquiring a mutex already held) is the degenerate one-node cycle;
+// it is the module's one self-deadlock rule.
 //
 // Cycle detection runs once per analysis over the union of every
-// package's edges (cached packages contribute their serialized edges —
-// see factcache.go), and reports each edge that participates in a
-// cyclic strongly connected component, at the inner acquisition site.
+// package's edges, and reports each edge that participates in a cyclic
+// strongly connected component, at the inner acquisition site.
 //
 // Soundness limits: local mutexes are keyed per enclosing function and
 // cannot form cross-function cycles; dynamic calls are invisible; the
@@ -42,21 +41,19 @@ var LockOrder = &Analyzer{
 	Run:  runLockOrder,
 }
 
-// LockEdge is one acquisition-order fact: To was acquired at Pos while
+// lockEdge is one acquisition-order fact: To was acquired at Pos while
 // From was held (acquired at FromPos). Via names the called helper when
-// the inner acquisition is one call level away. Positions are
-// token.Position so edges serialize into the fact cache.
-type LockEdge struct {
-	From    string         `json:"from"`
-	To      string         `json:"to"`
-	FromPos token.Position `json:"from_pos"`
-	Pos     token.Position `json:"pos"`
-	Via     string         `json:"via,omitempty"`
+// the inner acquisition is one call level away.
+type lockEdge struct {
+	From    string
+	To      string
+	FromPos token.Position
+	Pos     token.Position
+	Via     string
 }
 
 func runLockOrder(pass *Pass) {
 	summaries := lockAcquireSummaries(pass)
-	var edges []LockEdge
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -65,40 +62,10 @@ func runLockOrder(pass *Pass) {
 			}
 			name := fd.Name.Name
 			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				edges = append(edges, lockOrderEdges(pass, name, body, summaries)...)
+				pass.Prog.lockEdges = append(pass.Prog.lockEdges, lockOrderEdges(pass, name, body, summaries)...)
 			})
 		}
 	}
-	pass.Prog.setLockEdges(pass.PkgPath, edges)
-}
-
-// lockOrderOp mirrors mutexOp with module-global keys: (key, method, ok)
-// when n is a statement-level Lock/RLock/Unlock/RUnlock on a sync mutex.
-func lockOrderOp(pass *Pass, n ast.Node, fnName string) (string, string, bool) {
-	var e ast.Expr
-	switch n := n.(type) {
-	case *ast.ExprStmt:
-		e = n.X
-	default:
-		return "", "", false
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	if !isSyncMutex(pass.TypesInfo.TypeOf(sel.X)) {
-		return "", "", false
-	}
-	return lockOrderKey(pass, sel.X, fnName), sel.Sel.Name, true
 }
 
 // lockOrderKey names a mutex so acquisition sites in different functions
@@ -131,36 +98,12 @@ func lockOrderKey(pass *Pass, recv ast.Expr, fnName string) string {
 
 // lockOrderEdges runs the held-set dataflow over one body and returns
 // every acquisition-order edge it induces.
-func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries map[*types.Func][]string) []LockEdge {
+func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries map[*types.Func][]string) []lockEdge {
 	if !bodyMentionsMutex(pass, body) {
 		return nil // no direct acquire here, so the held set stays empty
 	}
-	cfg := pass.Prog.CFG(body)
-	transfer := func(fact any, n ast.Node) any {
-		f := fact.(lockFact)
-		key, method, ok := lockOrderOp(pass, n, fnName)
-		if !ok {
-			return f
-		}
-		out := make(lockFact, len(f))
-		for k, v := range f {
-			out[k] = v
-		}
-		switch method {
-		case "Lock", "RLock":
-			out[key] = n.Pos()
-		case "Unlock", "RUnlock":
-			delete(out, key)
-		}
-		return out
-	}
-	in := cfg.Forward(FlowAnalysis{
-		Entry:    func() any { return lockFact{} },
-		Transfer: transfer,
-		Join:     lockFactJoin,
-		Equal:    lockFactEqual,
-	})
-	var edges []LockEdge
+	key := func(recv ast.Expr) string { return lockOrderKey(pass, recv, fnName) }
+	var edges []lockEdge
 	seen := make(map[string]bool)
 	add := func(held lockFact, to string, pos token.Pos, via string) {
 		froms := make([]string, 0, len(held))
@@ -170,7 +113,10 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 		sort.Strings(froms)
 		for _, from := range froms {
 			if via != "" && from == to {
-				continue // a helper re-entering the held mutex is lockcheck's report
+				// Only a direct re-acquisition is a self-edge: one call
+				// away, a field key cannot tell the helper's receiver
+				// from the held instance.
+				continue
 			}
 			p := pass.Fset.Position(pos)
 			k := from + "\x00" + to + "\x00" + p.Filename + "\x00" + fmt.Sprint(p.Line, p.Column)
@@ -178,7 +124,7 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 				continue
 			}
 			seen[k] = true
-			edges = append(edges, LockEdge{
+			edges = append(edges, lockEdge{
 				From:    from,
 				To:      to,
 				FromPos: pass.Fset.Position(held[from]),
@@ -187,39 +133,28 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 			})
 		}
 	}
-	for _, blk := range cfg.Blocks {
-		fact, ok := in[blk]
-		if !ok {
-			continue
+	forEachHeld(pass, body, key, func(n ast.Node, held lockFact) {
+		if to, method, ok := mutexOp(pass, n, key); ok && (method == "Lock" || method == "RLock") {
+			add(held, to, n.Pos(), "")
 		}
-		f := fact.(lockFact)
-		for _, n := range blk.Nodes {
-			if len(f) > 0 {
-				if key, method, ok := lockOrderOp(pass, n, fnName); ok && (method == "Lock" || method == "RLock") {
-					add(f, key, n.Pos(), "")
-				}
-				held := f
-				ast.Inspect(n, func(m ast.Node) bool {
-					if _, ok := m.(*ast.FuncLit); ok {
-						return false // a literal's acquisitions happen when it runs
-					}
-					call, ok := m.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := StaticCallee(pass.TypesInfo, call)
-					if callee == nil {
-						return true
-					}
-					for _, to := range summaries[callee] {
-						add(held, to, call.Pos(), callee.Name())
-					}
-					return true
-				})
+		ast.Inspect(n, func(m ast.Node) bool {
+			if _, ok := m.(*ast.FuncLit); ok {
+				return false // a literal's acquisitions happen when it runs
 			}
-			f = transfer(f, n).(lockFact)
-		}
-	}
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := StaticCallee(pass.TypesInfo, call)
+			if callee == nil {
+				return true
+			}
+			for _, to := range summaries[callee] {
+				add(held, to, call.Pos(), callee.Name())
+			}
+			return true
+		})
+	})
 	return edges
 }
 
@@ -235,15 +170,16 @@ func lockAcquireSummaries(pass *Pass) map[*types.Func][]string {
 			}
 			p := &Pass{TypesInfo: node.Pkg.Info, Pkg: node.Pkg.Types, PkgPath: node.Pkg.PkgPath}
 			name := node.Decl.Name.Name
+			key := func(recv ast.Expr) string { return lockOrderKey(p, recv, name) }
 			seen := make(map[string]bool)
 			var keys []string
 			ast.Inspect(node.Decl.Body, func(m ast.Node) bool {
 				if _, ok := m.(*ast.FuncLit); ok {
 					return false
 				}
-				if key, method, ok := lockOrderOp(p, m, name); ok && (method == "Lock" || method == "RLock") && !seen[key] {
-					seen[key] = true
-					keys = append(keys, key)
+				if k, method, ok := mutexOp(p, m, key); ok && (method == "Lock" || method == "RLock") && !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
 				}
 				return true
 			})
@@ -257,11 +193,10 @@ func lockAcquireSummaries(pass *Pass) map[*types.Func][]string {
 	return v.(map[*types.Func][]string)
 }
 
-// LockOrderCycles detects cycles in the acquisition-order graph spanned
+// lockOrderCycles detects cycles in the acquisition-order graph spanned
 // by edges and returns one finding per participating edge, reported at
-// the inner acquisition site. Exported so the fact-cache driver can run
-// it over the union of fresh and cached edges.
-func LockOrderCycles(edges []LockEdge) []Finding {
+// the inner acquisition site.
+func lockOrderCycles(edges []lockEdge) []Finding {
 	scc := lockSCC(edges)
 	cyclic := make(map[int]bool)
 	count := make(map[int]int)
@@ -331,7 +266,7 @@ func shortLockName(key string) string {
 
 // lockSCC assigns each graph node a strongly-connected-component id
 // (iterative Tarjan, nodes visited in sorted order for determinism).
-func lockSCC(edges []LockEdge) map[string]int {
+func lockSCC(edges []lockEdge) map[string]int {
 	adj := make(map[string][]string)
 	nodes := make(map[string]bool)
 	edgeSeen := make(map[string]bool)
