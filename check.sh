@@ -56,6 +56,7 @@ go test -run='^$' -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=5s ./internal/codec
 go test -run='^$' -fuzz=FuzzResolutionFrameSize -fuzztime=5s ./internal/units
 go test -run='^$' -fuzz=FuzzAPIDecodeRequest -fuzztime=5s ./internal/api
 go test -run='^$' -fuzz=FuzzSegmentKey -fuzztime=5s ./internal/memo
+go test -run='^$' -fuzz=FuzzScenarioKey -fuzztime=5s ./internal/memo
 go test -run='^$' -fuzz=FuzzDeviceKey -fuzztime=5s ./internal/fleet
 go test -run='^$' -fuzz=FuzzRingOwner -fuzztime=5s ./internal/cluster
 

@@ -1,23 +1,22 @@
 // Package api defines the versioned JSON wire contract of blkd, the
 // BurstLink simulation service: request and response types, the strict
-// decoders the server trusts at its edge, and the request
-// canonicalization that keys the scenario result cache. It also ships a
-// typed HTTP client (client.go) and a closed-loop load generator
-// (load.go) so downstream consumers and the benchmark harness speak the
-// same contract the server does.
+// decoders the server trusts at its edge, and the request keys of the
+// scenario result cache. It also ships a typed HTTP client (client.go)
+// and a closed-loop load generator (load.go) so downstream consumers and
+// the benchmark harness speak the same contract the server does.
 //
-// Canonicalization is the load-bearing piece: two requests that describe
-// the same scenario — whatever their JSON field order, whitespace, or
-// defaulted fields — normalize to the same canonical string and
-// therefore the same cache key. Because every simulation in this
-// repository is a pure function of its inputs (the determinism suite
-// enforces this), a cache hit on the canonical key returns a
-// byte-identical response to a fresh execution.
+// The keys are load-bearing: each request type renders its normalized
+// form through an AppendKey method into a memo.KeyWriter, the same
+// discipline (and the same memokeycheck analyzer) that keys the segment
+// cache, and CacheKey is memo.KeyOf over it. Two requests that describe
+// the same response — whatever their JSON field order, whitespace, or
+// defaulted fields — share a key, and every field a response depends on
+// is written into it. Because every simulation in this repository is a
+// pure function of its inputs (the determinism suite enforces this), a
+// cache hit returns a byte-identical response to a fresh execution.
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"burstlink/internal/memo"
 	"burstlink/internal/pipeline"
 	"burstlink/internal/session"
 	"burstlink/internal/units"
@@ -269,7 +269,7 @@ func ParseResolution(s string) (units.Resolution, error) {
 }
 
 // Normalize fills defaulted fields in place so that requests differing
-// only in elided defaults canonicalize identically.
+// only in elided defaults share a key.
 func (r *SessionRequest) Normalize() {
 	if r.BPP == 0 {
 		r.BPP = 24
@@ -327,32 +327,29 @@ func (r *SessionRequest) Validate() error {
 	return nil
 }
 
-// Canonical renders the normalized request as a fixed-order string:
-// identical scenarios produce identical canonical forms regardless of
-// how the JSON spelled them.
-func (r SessionRequest) Canonical() string {
+// AppendKey renders the normalized request into its result-cache key:
+// the scheme, the simulated scenario, and the run parameters. A named
+// resolution and its WIDTHxHEIGHT spelling share a key, because a
+// session body does not echo the resolution.
+func (r SessionRequest) AppendKey(w *memo.KeyWriter) {
 	r.Normalize()
 	res, _ := ParseResolution(r.Resolution)
-	src := units.Resolution{}
-	if r.VR {
-		src, _ = ParseResolution(r.VRSource)
-	}
-	return fmt.Sprintf("session|scheme=%s|res=%dx%d|hz=%d|fps=%d|bpp=%d|s=%d|bps=%g|pre=%d|vr=%t|src=%dx%d|mf=%g",
-		r.Scheme, res.Width, res.Height, int(r.Refresh), int(r.FPS), r.BPP, r.Seconds,
-		float64(r.Bitrate), r.PrebufferFrames, r.VR, src.Width, src.Height, r.MotionFactor)
-}
-
-// Key hashes the canonical form into the scenario cache key.
-func (r SessionRequest) Key() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
-	return hex.EncodeToString(sum[:])
+	src, _ := ParseResolution(r.VRSource) // zero unless VR
+	w.String("scheme", r.Scheme)
+	w.Sub("scenario", pipeline.Scenario{
+		Res: res, Refresh: r.Refresh, FPS: r.FPS, BPP: r.BPP,
+		VR: r.VR, VRSource: src, MotionFactor: r.MotionFactor,
+	})
+	w.Int("seconds", int64(r.Seconds))
+	w.Float("bps", float64(r.Bitrate))
+	w.Int("prebuffer", int64(r.PrebufferFrames))
 }
 
 // CacheKey returns the endpoint-qualified result-cache key the server
 // files this request under. It is the shared routing vocabulary: the
 // cluster ring hashes these exact strings, so the router and the server
 // agree on which node owns a scenario.
-func (r SessionRequest) CacheKey() string { return "v1/session:" + r.Key() }
+func (r SessionRequest) CacheKey() string { return memo.KeyOf("v1/session", r) }
 
 // ToConfig converts a validated request into the session runner's
 // config. Call Normalize and Validate first.
@@ -435,31 +432,32 @@ func (r SweepRequest) Expand() []SessionRequest {
 	return cells
 }
 
-// Canonical renders the normalized sweep as a fixed-order string. Axis
-// order is part of the identity: result cells come back in axis order,
-// so reordered axes are a different response.
-func (r SweepRequest) Canonical() string {
+// AppendKey renders the normalized sweep into its result-cache key: the
+// axes as spelled and in order, because the body echoes each cell's
+// scheme and resolution string and returns the cells in axis order,
+// plus the parameters every cell shares. Each element carries its axis
+// tag, so the sequence needs no counts.
+func (r SweepRequest) AppendKey(w *memo.KeyWriter) {
 	r.Normalize()
-	var b strings.Builder
-	b.WriteString("sweep")
-	for _, cell := range r.Expand() {
-		b.WriteString("|")
-		b.WriteString(cell.Canonical())
+	for _, sch := range r.Schemes {
+		w.String("scheme", sch)
 	}
-	return b.String()
-}
-
-// Key hashes the canonical sweep form into the cache key.
-func (r SweepRequest) Key() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
-	return hex.EncodeToString(sum[:])
+	for _, res := range r.Resolutions {
+		w.String("resolution", res)
+	}
+	for _, fps := range r.FPS {
+		w.Int("fps", int64(fps))
+	}
+	w.Int("hz", int64(r.Refresh))
+	w.Int("seconds", int64(r.Seconds))
+	w.Float("bps", float64(r.Bitrate))
 }
 
 // CacheKey returns the endpoint-qualified result-cache key (see
 // SessionRequest.CacheKey). A sweep routes as one unit: its cells share
-// the owning node's session cache, so overlapping sweeps still coalesce
-// cell by cell there.
-func (r SweepRequest) CacheKey() string { return "v1/sweep:" + r.Key() }
+// the owning node's session cache under their own session keys, so
+// overlapping or respelled sweeps still share results cell by cell.
+func (r SweepRequest) CacheKey() string { return memo.KeyOf("v1/sweep", r) }
 
 // ExpCacheKey returns the result-cache key of GET /v1/exp/{id}.
 func ExpCacheKey(id string) string { return "v1/exp:" + id }

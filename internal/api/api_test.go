@@ -55,49 +55,56 @@ func TestParseResolution(t *testing.T) {
 
 // TestCanonicalEquivalence pins the property the cache rests on: requests
 // describing the same scenario — elided defaults, spelled-out defaults,
-// named vs explicit resolutions — share one canonical form and key.
+// named vs explicit resolutions — share one key, and every field the
+// response depends on moves it.
 func TestCanonicalEquivalence(t *testing.T) {
 	base := validRequest()
 
 	spelled := base
 	spelled.BPP = 24
 	spelled.PrebufferFrames = 30
-	if base.Canonical() != spelled.Canonical() {
-		t.Errorf("defaults changed the canonical form:\n%s\n%s", base.Canonical(), spelled.Canonical())
-	}
-	if base.Key() != spelled.Key() {
+	if base.CacheKey() != spelled.CacheKey() {
 		t.Error("defaults changed the cache key")
 	}
 
 	explicit := base
 	explicit.Resolution = "1920x1080"
-	if base.Canonical() != explicit.Canonical() {
-		t.Errorf("FHD and 1920x1080 canonicalize differently:\n%s\n%s", base.Canonical(), explicit.Canonical())
+	if base.CacheKey() != explicit.CacheKey() {
+		t.Error("FHD and 1920x1080 key differently")
 	}
 
 	// Non-VR requests ignore VR-only fields entirely.
 	noisy := base
 	noisy.VRSource = "4K"
 	noisy.MotionFactor = 3
-	if base.Key() != noisy.Key() {
+	if base.CacheKey() != noisy.CacheKey() {
 		t.Error("VR fields leaked into a non-VR key")
 	}
 
+	vr := validRequest()
+	vr.VR, vr.VRSource = true, "4K"
 	// Every distinguishing field moves the key.
-	for name, mut := range map[string]func(*SessionRequest){
-		"scheme":     func(r *SessionRequest) { r.Scheme = "conventional" },
-		"resolution": func(r *SessionRequest) { r.Resolution = "QHD" },
-		"refresh":    func(r *SessionRequest) { r.Refresh = 120 },
-		"fps":        func(r *SessionRequest) { r.FPS = 60 },
-		"seconds":    func(r *SessionRequest) { r.Seconds = 6 },
-		"bitrate":    func(r *SessionRequest) { r.Bitrate = 40 * units.Mbps },
-		"prebuffer":  func(r *SessionRequest) { r.PrebufferFrames = 7 },
-		"vr":         func(r *SessionRequest) { r.VR = true; r.VRSource = "4K" },
+	for _, c := range []struct {
+		name string
+		base SessionRequest
+		mut  func(*SessionRequest)
+	}{
+		{"scheme", base, func(r *SessionRequest) { r.Scheme = "conventional" }},
+		{"resolution", base, func(r *SessionRequest) { r.Resolution = "QHD" }},
+		{"refresh", base, func(r *SessionRequest) { r.Refresh = 120 }},
+		{"fps", base, func(r *SessionRequest) { r.FPS = 60 }},
+		{"bpp", base, func(r *SessionRequest) { r.BPP = 30 }},
+		{"seconds", base, func(r *SessionRequest) { r.Seconds = 6 }},
+		{"bitrate", base, func(r *SessionRequest) { r.Bitrate = 40 * units.Mbps }},
+		{"prebuffer", base, func(r *SessionRequest) { r.PrebufferFrames = 7 }},
+		{"vr", base, func(r *SessionRequest) { r.VR = true; r.VRSource = "4K" }},
+		{"motion_factor", vr, func(r *SessionRequest) { r.MotionFactor = 2 }},
+		{"vr_source", vr, func(r *SessionRequest) { r.VRSource = "5K" }},
 	} {
-		mod := validRequest()
-		mut(&mod)
-		if mod.Key() == base.Key() {
-			t.Errorf("changing %s did not change the cache key", name)
+		mod := c.base
+		c.mut(&mod)
+		if mod.CacheKey() == c.base.CacheKey() {
+			t.Errorf("changing %s did not change the cache key", c.name)
 		}
 	}
 }
@@ -106,15 +113,43 @@ func TestSweepCanonical(t *testing.T) {
 	a := SweepRequest{Resolutions: []string{"FHD"}, FPS: []units.FPS{30}, Refresh: 60, Seconds: 5}
 	b := a
 	b.Schemes = []string{"conventional", "burst-only", "bypass-only", "burstlink"}
-	if a.Key() != b.Key() {
+	if a.CacheKey() != b.CacheKey() {
 		t.Error("defaulted schemes and spelled-out schemes should share a key")
 	}
 	// Axis order is part of the identity: results come back in axis
 	// order, so a reordered sweep is a different response.
 	c := b
 	c.Schemes = []string{"burstlink", "conventional", "burst-only", "bypass-only"}
-	if b.Key() == c.Key() {
+	if b.CacheKey() == c.CacheKey() {
 		t.Error("reordered axes must not share a key")
+	}
+	// Cells echo the resolution as spelled, so a respelled resolution is
+	// a different sweep body, while each cell is the same session.
+	d := b
+	d.Resolutions = []string{"1920x1080"}
+	if b.CacheKey() == d.CacheKey() {
+		t.Error("FHD and 1920x1080 sweeps must not share a key")
+	}
+	b.Normalize()
+	d.Normalize()
+	bc, dc := b.Expand(), d.Expand()
+	for i := range bc {
+		if bc[i].CacheKey() != dc[i].CacheKey() {
+			t.Errorf("cell %d: respelled resolution changed the session key", i)
+		}
+	}
+	// Every other field moves the key.
+	for name, mut := range map[string]func(*SweepRequest){
+		"fps":     func(r *SweepRequest) { r.FPS = []units.FPS{60} },
+		"refresh": func(r *SweepRequest) { r.Refresh = 120 },
+		"seconds": func(r *SweepRequest) { r.Seconds = 6 },
+		"bitrate": func(r *SweepRequest) { r.Bitrate = 40 * units.Mbps },
+	} {
+		mod := a
+		mut(&mod)
+		if mod.CacheKey() == a.CacheKey() {
+			t.Errorf("changing %s did not change the sweep key", name)
+		}
 	}
 }
 
@@ -207,7 +242,7 @@ func TestScheduleDeterminism(t *testing.T) {
 	seen := map[string]bool{}
 	dups := 0
 	for _, r := range a {
-		k := r.Key()
+		k := r.CacheKey()
 		if seen[k] {
 			dups++
 		}
@@ -233,7 +268,7 @@ func TestScheduleDeterminism(t *testing.T) {
 func TestUniqueRequestDistinct(t *testing.T) {
 	keys := map[string]int{}
 	for j := 0; j < 4096; j++ {
-		k := uniqueRequest(j).Key()
+		k := uniqueRequest(j).CacheKey()
 		if prev, ok := keys[k]; ok {
 			t.Fatalf("uniqueRequest(%d) collides with uniqueRequest(%d)", j, prev)
 		}

@@ -1,13 +1,11 @@
 package api
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
 
 	"burstlink/internal/fleet"
+	"burstlink/internal/memo"
 	"burstlink/internal/session"
 	"burstlink/internal/sink"
 	"burstlink/internal/units"
@@ -58,7 +56,7 @@ type FleetContent struct {
 // into battery-impact and energy-saving distributions. Identical
 // (seed, spec) pairs produce byte-identical aggregates regardless of
 // server worker count or cache state — which is what makes the response
-// cacheable under the canonical key.
+// cacheable under the population's key.
 type FleetRequest struct {
 	Size int    `json:"size"`
 	Seed uint64 `json:"seed"`
@@ -73,9 +71,9 @@ type FleetRequest struct {
 	Classes  []FleetClass   `json:"classes,omitempty"`
 	Contents []FleetContent `json:"contents,omitempty"`
 	// Stream switches the response to NDJSON progress events followed by
-	// the final result. Streamed responses bypass the result cache; the
-	// flag is excluded from the canonical form because it changes the
-	// transport, not the result.
+	// the final result. Streamed responses bypass the result cache. The
+	// key is the sampled population's, which has no Stream field: the
+	// flag changes the transport, not the result.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -136,7 +134,7 @@ func defaultFleetWire() ([]FleetClass, []FleetContent, []float64, int) {
 }
 
 // Normalize fills defaulted fields in place so requests differing only
-// in elided defaults canonicalize identically.
+// in elided defaults share a key.
 func (r *FleetRequest) Normalize() {
 	defClasses, defContents, defHours, defSegments := defaultFleetWire()
 	if r.Scheme == "" {
@@ -268,47 +266,16 @@ func (r FleetRequest) ToPopulation() (fleet.Population, error) {
 	return pop, nil
 }
 
-// Canonical renders the normalized request as a fixed-order string.
-// Stream is deliberately excluded: it selects the transport (NDJSON
-// progress vs one JSON body), not the result, so a streamed run and a
-// plain run of the same population share an identity.
-func (r FleetRequest) Canonical() string {
-	r.Normalize()
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet|size=%d|seed=%d|scheme=%s|segments=%d|hours=", r.Size, r.Seed, r.Scheme, r.Segments)
-	for i, h := range r.Hours {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, "%g", h)
-	}
-	for _, c := range r.Classes {
-		res, _ := ParseResolution(c.Resolution)
-		fmt.Fprintf(&b, "|class=%s,w=%d,bat=%g,res=%dx%d,hz=%d,perf=%g",
-			c.Name, c.Weight, c.BatteryMWh, res.Width, res.Height, int(c.Refresh), c.PerfScale)
-	}
-	for _, c := range r.Contents {
-		src := units.Resolution{}
-		if c.VR {
-			src, _ = ParseResolution(c.VRSource)
-		}
-		fmt.Fprintf(&b, "|content=%s,w=%d,fps=%d,s=%d,bps=%g,vr=%t,src=%dx%d",
-			c.Name, c.Weight, int(c.FPS), c.Seconds, float64(c.Bitrate), c.VR, src.Width, src.Height)
-	}
-	return b.String()
-}
-
-// Key hashes the canonical form into the result cache key.
-func (r FleetRequest) Key() string {
-	sum := sha256.Sum256([]byte(r.Canonical()))
-	return hex.EncodeToString(sum[:])
-}
-
 // CacheKey returns the endpoint-qualified result-cache key (see
-// SessionRequest.CacheKey). Canonical excludes Stream, so a streamed
-// fleet run routes to the same owner as its plain twin and warms the
-// same node's segment cache.
-func (r FleetRequest) CacheKey() string { return "v1/fleet:" + r.Key() }
+// SessionRequest.CacheKey): the key of the population the normalized
+// request samples. Stream is not a population field, so a streamed fleet
+// run routes to the same owner as its plain twin and warms the same
+// node's segment cache.
+func (r FleetRequest) CacheKey() string {
+	r.Normalize()
+	pop, _ := r.ToPopulation() // Validate rejects what this cannot convert
+	return memo.KeyOf("v1/fleet", pop)
+}
 
 // DecodeFleetRequest strictly decodes, normalizes, and validates a fleet
 // request under the same error contract as DecodeSessionRequest.

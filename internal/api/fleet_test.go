@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -38,21 +39,33 @@ func TestFleetNormalizeDefaults(t *testing.T) {
 }
 
 // TestFleetCanonicalDefaults pins that elided defaults and spelled-out
-// defaults share a canonical identity, and that Stream does not change it.
+// defaults share a key, that Stream does not change it, and that class
+// names are keyed as values: a name that spells out a second class does
+// not collide with that second class.
 func TestFleetCanonicalDefaults(t *testing.T) {
 	elided := FleetRequest{Size: 10}
 	spelled := FleetRequest{Size: 10}
 	spelled.Normalize()
-	if elided.Key() != spelled.Key() {
-		t.Fatalf("elided defaults key differently:\n%s\nvs\n%s", elided.Canonical(), spelled.Canonical())
+	if elided.CacheKey() != spelled.CacheKey() {
+		t.Fatal("elided defaults key differently")
 	}
 	streamed := FleetRequest{Size: 10, Stream: true}
-	if streamed.Key() != elided.Key() {
-		t.Fatal("stream flag changed the canonical key")
+	if streamed.CacheKey() != elided.CacheKey() {
+		t.Fatal("stream flag changed the key")
 	}
 	other := FleetRequest{Size: 10, Seed: 1}
-	if other.Key() == elided.Key() {
+	if other.CacheKey() == elided.CacheKey() {
 		t.Fatal("different seed, same key")
+	}
+
+	phone := FleetClass{Name: "phone", Weight: 5, BatteryMWh: 17000, Resolution: "FHD", Refresh: 60, PerfScale: 0.8}
+	tablet := FleetClass{Name: "tablet", Weight: 3, BatteryMWh: 38200, Resolution: "QHD", Refresh: 60, PerfScale: 1}
+	two := FleetRequest{Size: 10, Classes: []FleetClass{phone, tablet}}
+	merged := tablet
+	merged.Name = "phone,w=5,bat=17000,res=1920x1080,hz=60,perf=0.8|class=tablet"
+	one := FleetRequest{Size: 10, Classes: []FleetClass{merged}}
+	if two.CacheKey() == one.CacheKey() {
+		t.Fatal("a class name spelling out a second class shares that pair's key")
 	}
 }
 
@@ -106,6 +119,7 @@ func TestFleetValidateRejects(t *testing.T) {
 		{"huge hour", func(r *FleetRequest) { r.Hours = []float64{30} }, "hour"},
 		{"vr without source", func(r *FleetRequest) { r.Contents[0].VR = true }, "resolution"},
 		{"zero weight", func(r *FleetRequest) { r.Classes[0].Weight = 0 }, "weight"},
+		{"weight overflow", func(r *FleetRequest) { r.Classes[0].Weight, r.Classes[1].Weight = math.MaxInt, 1 }, "bad_fleet: fleet: class weights total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

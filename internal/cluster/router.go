@@ -88,8 +88,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/health", rt.handleHealth)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	// A sweep executes wholly on its owner, whose session cache its
-	// cells share; a fleet's key excludes Stream, so streamed and plain
-	// runs share an owner.
+	// cells share; a fleet's key is its population's, which has no
+	// Stream field, so streamed and plain runs share an owner.
 	rt.mux.HandleFunc("POST /v1/session", routePost(rt, "/v1/session", api.DecodeSessionRequest))
 	rt.mux.HandleFunc("POST /v1/sweep", routePost(rt, "/v1/sweep", api.DecodeSweepRequest))
 	rt.mux.HandleFunc("POST /v1/fleet", routePost(rt, "/v1/fleet", api.DecodeFleetRequest))

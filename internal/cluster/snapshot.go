@@ -16,7 +16,7 @@ import (
 // any other version: a snapshot is a cache transplant, and a silently
 // misread one would poison a node with values that no longer match their
 // keys.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // ErrSnapshotVersion marks a snapshot whose wire version is not the one
 // this binary speaks. Check with errors.Is; the wrapping SnapshotError

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -209,6 +210,9 @@ func TestValidateRejects(t *testing.T) {
 		{"zero-seconds", func(p *Population) { p.Contents[0].Seconds = 0 }, "seconds"},
 		{"negative-bitrate", func(p *Population) { p.Contents[0].Bitrate = -1 }, "bitrate"},
 		{"fps-over-refresh", func(p *Population) { p.Contents[0].FPS = 90 }, "×"},
+		// The two weights sum to MaxInt+1, which wraps to MinInt: the
+		// sampler would draw from a negative total.
+		{"weight-overflow", func(p *Population) { p.Contents[0].Weight, p.Contents[1].Weight = math.MaxInt/2+1, math.MaxInt/2+1 }, "content weights total"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

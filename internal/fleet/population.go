@@ -20,6 +20,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"burstlink/internal/memo"
@@ -158,6 +159,25 @@ type Population struct {
 	Contents []Content
 }
 
+// AppendKey renders the population into its canonical key: every field,
+// each class and content through its own AppendKey. Each element carries
+// its field's tag, so the sequence needs no counts.
+func (p Population) AppendKey(w *memo.KeyWriter) {
+	w.Int("size", int64(p.Size))
+	w.Uint("seed", p.Seed)
+	w.Int("scheme", int64(p.Scheme))
+	w.Int("segments", int64(p.Segments))
+	for _, h := range p.Hours {
+		w.Float("hour", h)
+	}
+	for _, c := range p.Classes {
+		w.Sub("class", c)
+	}
+	for _, c := range p.Contents {
+		w.Sub("content", c)
+	}
+}
+
 // Default returns the reference population: four device classes
 // (phone, tablet, laptop, HMD-class panel) and a four-way content mix
 // including a 360° VR stream, two segments a day of one or two hours
@@ -182,9 +202,10 @@ func Default() Population {
 	}
 }
 
-// Validate checks the population spec: positive size and weights,
-// unique names, and every class × content combination must form a valid
-// scenario (refresh a multiple of fps, VR sources present).
+// Validate checks the population spec: positive size and weights whose
+// totals fit in an int (the sampler's precondition), unique names, and
+// every class × content combination must form a valid scenario (refresh
+// a multiple of fps, VR sources present).
 func (p Population) Validate() error {
 	if p.Size <= 0 {
 		return fmt.Errorf("fleet: population size %d must be positive", p.Size)
@@ -204,6 +225,7 @@ func (p Population) Validate() error {
 		return fmt.Errorf("fleet: classes and contents must be non-empty")
 	}
 	names := make(map[string]bool)
+	total := 0
 	for _, c := range p.Classes {
 		if c.Name == "" || names[c.Name] {
 			return fmt.Errorf("fleet: class names must be unique and non-empty (%q)", c.Name)
@@ -212,6 +234,10 @@ func (p Population) Validate() error {
 		if c.Weight <= 0 {
 			return fmt.Errorf("fleet: class %s weight %d must be positive", c.Name, c.Weight)
 		}
+		if c.Weight > math.MaxInt-total {
+			return fmt.Errorf("fleet: class weights total more than %d", math.MaxInt)
+		}
+		total += c.Weight
 		if c.BatteryMWh <= 0 {
 			return fmt.Errorf("fleet: class %s battery %g mWh must be positive", c.Name, c.BatteryMWh)
 		}
@@ -220,6 +246,7 @@ func (p Population) Validate() error {
 		}
 	}
 	names = make(map[string]bool)
+	total = 0
 	for _, c := range p.Contents {
 		if c.Name == "" || names[c.Name] {
 			return fmt.Errorf("fleet: content names must be unique and non-empty (%q)", c.Name)
@@ -228,6 +255,10 @@ func (p Population) Validate() error {
 		if c.Weight <= 0 {
 			return fmt.Errorf("fleet: content %s weight %d must be positive", c.Name, c.Weight)
 		}
+		if c.Weight > math.MaxInt-total {
+			return fmt.Errorf("fleet: content weights total more than %d", math.MaxInt)
+		}
+		total += c.Weight
 		if c.Seconds <= 0 {
 			return fmt.Errorf("fleet: content %s seconds %d must be positive", c.Name, c.Seconds)
 		}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -253,7 +254,9 @@ func hasGoSource(dir string) bool {
 	return err == nil && len(files) > 0
 }
 
-// sourceFiles lists the paths of dir's non-test .go files, sorted.
+// sourceFiles lists the paths of dir's non-test .go files that the
+// environment's build context selects (GOOS and GOARCH file suffixes,
+// //go:build lines), sorted: the files go build compiles.
 func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -261,7 +264,15 @@ func sourceFiles(dir string) ([]string, error) {
 	}
 	var files []string
 	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if match {
 			files = append(files, filepath.Join(dir, name))
 		}
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/build"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,5 +97,24 @@ func TestLoadWithoutGo(t *testing.T) {
 	_, err := Load(mod, []string{"./..."})
 	if err == nil || !strings.Contains(err.Error(), "go list") {
 		t.Fatalf("Load with no go on PATH: err = %v, want an error naming go list", err)
+	}
+}
+
+// TestLoadHonoursBuildConstraints: the buildfix fixture declares F in
+// f_linux.go and in a //go:build !linux twin. Whatever the target GOOS,
+// the loader picks exactly one of them, as go build does, so the
+// package type-checks.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	defer func(goos string) { build.Default.GOOS = goos }(build.Default.GOOS)
+	const path = "burstlink/internal/buildfix"
+	for _, goos := range []string{"linux", "windows", "darwin"} {
+		build.Default.GOOS = goos
+		pkg, err := LoadTree(filepath.Join("testdata", "src", "buildfix"), path, path)
+		if err != nil {
+			t.Fatalf("GOOS=%s: %v", goos, err)
+		}
+		if len(pkg.TypeErrors) > 0 || len(pkg.Files) != 1 {
+			t.Errorf("GOOS=%s: %d files, type errors %v; want 1 file and none", goos, len(pkg.Files), pkg.TypeErrors)
+		}
 	}
 }

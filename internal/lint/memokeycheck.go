@@ -7,13 +7,14 @@ import (
 	"strings"
 )
 
-// MemoKeyCheck audits the delta-simulation cache keys (internal/memo,
-// DESIGN.md §4.9). A segment's canonical key must be exhaustive over its
-// input struct: a field that changes the computed result but is left out
-// of AppendKey makes two different inputs hash alike, and the cache then
-// serves a stale segment — a silent wrong-answer bug no throughput test
-// catches, only a bit-identity test that happens to vary the forgotten
-// field.
+// MemoKeyCheck audits the module's cache keys (internal/memo, DESIGN.md
+// §4.9): the delta-simulation segment keys and, through the same
+// AppendKey methods, blkd's result-cache request keys. A canonical key
+// must be exhaustive over its struct: a field that changes the computed
+// result but is left out of AppendKey makes two different inputs hash
+// alike, and the cache then serves a stale segment or response body — a
+// silent wrong-answer bug no throughput test catches, only a
+// bit-identity test that happens to vary the forgotten field.
 //
 // The check is structural: for every method named AppendKey whose single
 // parameter is a *memo.KeyWriter and whose receiver is a struct, each
@@ -26,9 +27,10 @@ import (
 // so the elements themselves must be read (ranged over, indexed, or the
 // field passed whole). A field that is deliberately excluded (because
 // it provably cannot affect the segment's output) belongs in a
-// dedicated narrower key struct — the way pipeline.videoKey omits FPS —
-// or under an explicit //lint:ignore memokeycheck with the proof in the
-// reason.
+// dedicated narrower key struct — the way pipeline.videoKey omits FPS,
+// and api.FleetRequest keys its fleet.Population, which has no Stream
+// field — or under an explicit //lint:ignore memokeycheck with the proof
+// in the reason.
 var MemoKeyCheck = &Analyzer{
 	Name: "memokeycheck",
 	Doc:  "flag AppendKey methods that do not write every receiver field into the canonical segment key",

@@ -91,12 +91,15 @@ func FuzzSegmentKey(f *testing.F) {
 	})
 }
 
-// FuzzScenarioKey does the same for the scenario half of the timeline
-// segment input: independently built equal scenarios key identically
-// and each knob moves the key.
+// FuzzScenarioKey does the same for pipeline.Scenario, the scenario half
+// of the timeline segment input and of every session request key:
+// independently built equal scenarios key identically and each knob
+// moves the key.
 func FuzzScenarioKey(f *testing.F) {
 	f.Add(1920, 1080, uint8(60), uint8(30), false, 1.0, uint8(0))
 	f.Add(3840, 2160, uint8(120), uint8(60), true, 1.75, uint8(5))
+	f.Add(2560, 1440, uint8(90), uint8(45), true, 2.0, uint8(6))
+	f.Add(2560, 1440, uint8(90), uint8(45), true, 2.0, uint8(7))
 	f.Fuzz(func(t *testing.T, w, h int, hz, fps uint8, vr bool, mf float64, mut uint8) {
 		mk := func(s pipeline.Scenario) string { return memo.KeyOf("scenario", s) }
 		build := func() pipeline.Scenario {
@@ -115,7 +118,7 @@ func FuzzScenarioKey(f *testing.F) {
 		if base != mk(q) {
 			t.Fatal("equal scenarios keyed differently")
 		}
-		switch mut % 6 {
+		switch mut % 8 {
 		case 0:
 			q.Res.Width++
 		case 1:
@@ -128,9 +131,13 @@ func FuzzScenarioKey(f *testing.F) {
 			q.VR = !q.VR
 		case 5:
 			q.MotionFactor = math.Float64frombits(math.Float64bits(q.MotionFactor) ^ 1)
+		case 6:
+			q.BPP++
+		case 7:
+			q.VRSource.Width++
 		}
 		if mk(q) == base {
-			t.Fatalf("mutating scenario field %d did not change key", mut%6)
+			t.Fatalf("mutating scenario field %d did not change key", mut%8)
 		}
 	})
 }

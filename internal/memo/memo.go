@@ -1,18 +1,17 @@
 // Package memo is the delta-simulation substrate: a bounded,
-// concurrency-safe segment cache plus the canonical-key discipline that
-// makes sub-run memoization sound.
+// concurrency-safe segment cache plus the module's one canonical-key
+// discipline, which keys both that cache and blkd's result cache.
 //
 // The repository's simulations compose from named timeline segments
 // (jitter-buffer delivery, per-period phase timelines, per-period power
 // integration, synthetic codec byte streams), each a pure function of a
-// narrow, explicit input struct. Package memo pushes internal/api's
-// per-request canonical-hash discipline down to that sub-run
-// granularity: a segment input renders itself into an unambiguous
-// canonical byte string through a KeyWriter (every field tagged with its
-// name, every variable-length value length-prefixed, so no two distinct
-// field sequences collide), the SHA-256 of that string keys the segment
-// cache, and a sweep that changes one knob recomputes only the segments
-// the knob invalidates.
+// narrow, explicit input struct. A segment input — or, one level up, an
+// internal/api request — renders itself into an unambiguous canonical
+// byte string through a KeyWriter (every field tagged with its name,
+// every variable-length value length-prefixed, so no two distinct field
+// sequences collide), and the SHA-256 of that string is the cache key.
+// A sweep that changes one knob recomputes only the segments the knob
+// invalidates.
 //
 // The cache is internal/cache's coalescing LRU, the same one
 // internal/server uses for whole requests: concurrent misses on one key
@@ -27,9 +26,9 @@
 // cached original.
 //
 // The companion blklint analyzer memokeycheck enforces the key
-// discipline statically: every field of a segment input struct must be
-// written into its AppendKey, because a field that influences the
-// segment's output but not its key is a silent stale-cache bug.
+// discipline statically: every field of a keyed struct (segment input or
+// request) must be written into its AppendKey, because a field that
+// influences the output but not its key is a silent stale-cache bug.
 package memo
 
 import (
@@ -42,11 +41,11 @@ import (
 	"burstlink/internal/cache"
 )
 
-// Keyer renders a segment input into its canonical key bytes. The
-// contract: two semantically equal inputs append identical bytes, and
-// any field mutation changes the bytes (memokeycheck verifies all
-// fields are written; the FuzzSegmentKey target exercises the mutation
-// half).
+// Keyer renders a segment input or a request into its canonical key
+// bytes. The contract: two semantically equal inputs append identical
+// bytes, and any field mutation changes the bytes (memokeycheck verifies
+// all fields are written; FuzzSegmentKey, FuzzScenarioKey and the
+// request key tests exercise the mutation half).
 type Keyer interface {
 	AppendKey(w *KeyWriter)
 }
@@ -137,8 +136,9 @@ func (w *KeyWriter) Sub(name string, k Keyer) {
 	w.tag(name, kindEnd)
 }
 
-// Sum returns the canonical cache key: the segment name (kept readable
-// for stats and debugging) plus the SHA-256 of the accumulated bytes.
+// Sum returns the canonical cache key: the segment name or endpoint
+// (kept readable for stats and debugging) plus the SHA-256 of the
+// accumulated bytes.
 func (w *KeyWriter) Sum(segment string) string {
 	sum := sha256.Sum256(w.buf)
 	return segment + ":" + hex.EncodeToString(sum[:])

@@ -38,7 +38,10 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // determinismSequence builds the request mix: sessions across schemes and
 // resolutions (with exact duplicates, so the cache actually engages), a
-// VR session, an overlapping sweep, and experiment fetches.
+// VR session, an overlapping sweep, and experiment fetches. Two pairs
+// close it whose members must not share a cache entry: fleets whose
+// class lists differ only in how a name could be read, and sweeps that
+// spell one resolution two ways.
 func determinismSequence(t *testing.T) []wireRequest {
 	t.Helper()
 	var seq []wireRequest
@@ -69,6 +72,32 @@ func determinismSequence(t *testing.T) []wireRequest {
 	seq = append(seq, wireRequest{"GET", "/v1/exp", nil})
 	seq = append(seq, wireRequest{"GET", "/v1/exp/fig9", nil})
 	seq = append(seq, wireRequest{"GET", "/v1/exp/fig9", nil}) // duplicate
+
+	// #12 and #13: two classes, then one class whose name spells out
+	// the first class and the second's name, with the second's fields.
+	phone := api.FleetClass{Name: "phone", Weight: 5, BatteryMWh: 17000, Resolution: "FHD", Refresh: 60, PerfScale: 0.8}
+	tablet := api.FleetClass{Name: "tablet", Weight: 3, BatteryMWh: 38200, Resolution: "QHD", Refresh: 60, PerfScale: 1}
+	merged := tablet
+	merged.Name = "phone,w=5,bat=17000,res=1920x1080,hz=60,perf=0.8|class=tablet"
+	contents := []api.FleetContent{
+		{Name: "x", Weight: 2, FPS: 30, Seconds: 2},
+		{Name: "y", Weight: 1, FPS: 60, Seconds: 2},
+	}
+	for _, classes := range [][]api.FleetClass{{phone, tablet}, {merged}} {
+		seq = append(seq, wireRequest{"POST", "/v1/fleet", mustJSON(t, api.FleetRequest{
+			Size: 40, Seed: 5, Classes: classes, Contents: contents,
+		})})
+	}
+	// #14 and #15: the cells echo the resolution as spelled.
+	for _, res := range []string{"FHD", "1920x1080"} {
+		seq = append(seq, wireRequest{"POST", "/v1/sweep", mustJSON(t, api.SweepRequest{
+			Schemes:     []string{"burstlink"},
+			Resolutions: []string{res},
+			FPS:         []units.FPS{30},
+			Refresh:     60,
+			Seconds:     3,
+		})})
+	}
 	return seq
 }
 
