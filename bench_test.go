@@ -276,14 +276,14 @@ func BenchmarkFunctionalPipelines(b *testing.B) {
 	cfg := pipeline.FunctionalConfig{Width: 96, Height: 64, Frames: 4, FPS: 30, Refresh: 60}
 	b.Run("conventional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pipeline.RunFunctional(p, cfg); err != nil {
+			if _, err := pipeline.RunFunctionalMemo(p, nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("burstlink", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunFunctional(p, cfg); err != nil {
+			if _, err := core.RunFunctionalMemo(p, nil, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

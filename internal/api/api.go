@@ -381,11 +381,15 @@ func (r SessionRequest) ToConfig() (session.Config, error) {
 	}, nil
 }
 
-// Normalize fills the sweep's defaulted axes.
+// Normalize fills the sweep's defaulted axes. The default scheme axis is
+// a fresh slice, never the caller's spare capacity, so keying a copy of
+// a request leaves the original untouched.
 func (r *SweepRequest) Normalize() {
 	if len(r.Schemes) == 0 {
-		for _, sch := range session.Schemes() {
-			r.Schemes = append(r.Schemes, sch.String())
+		schemes := session.Schemes()
+		r.Schemes = make([]string, len(schemes))
+		for i, sch := range schemes {
+			r.Schemes[i] = sch.String()
 		}
 	}
 }

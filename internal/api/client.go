@@ -32,30 +32,25 @@ const (
 // WithHTTPClient; all methods honor ctx for cancellation and deadlines.
 //
 // On 429 the client honors Retry-After with a capped, deterministic
-// backoff — it sleeps exactly the advertised duration (capped at the
-// configured maximum) and retries, up to the configured attempt budget
-// — instead of surfacing the rejection on first sight. The waits are a
-// pure function of the server's responses; the clock only enters
-// through the injected sleep, so tests pin the backoff schedule without
-// real time passing. WithRetry(0, ...) restores fail-fast behavior.
+// backoff — it sleeps exactly the advertised duration (capped at
+// DefaultMaxBackoff) and retries, up to DefaultRetries times — instead
+// of surfacing the rejection on first sight. The waits are a pure
+// function of the server's responses; the clock only enters through
+// sleep, which in-package tests replace so they pin the backoff
+// schedule without real time passing.
 type Client struct {
-	base       string
-	hc         *http.Client
-	retries    int
-	maxBackoff time.Duration
-	sleep      func(time.Duration)
+	base  string
+	hc    *http.Client
+	sleep func(time.Duration)
 }
 
 // NewClient returns a client for the service rooted at base, e.g.
-// "http://127.0.0.1:8080", with the default retry posture
-// (DefaultRetries × Retry-After capped at DefaultMaxBackoff).
+// "http://127.0.0.1:8080".
 func NewClient(base string) *Client {
 	return &Client{
-		base:       strings.TrimSuffix(base, "/"),
-		hc:         http.DefaultClient,
-		retries:    DefaultRetries,
-		maxBackoff: DefaultMaxBackoff,
-		sleep:      time.Sleep,
+		base:  strings.TrimSuffix(base, "/"),
+		hc:    http.DefaultClient,
+		sleep: time.Sleep,
 	}
 }
 
@@ -66,33 +61,15 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 	return c
 }
 
-// WithRetry tunes the 429 retry budget: at most retries re-issues, each
-// preceded by a sleep of min(Retry-After, maxBackoff) through sleep
-// (nil keeps time.Sleep — tests inject a recorder instead). retries <=
-// 0 disables retrying entirely.
-func (c *Client) WithRetry(retries int, maxBackoff time.Duration, sleep func(time.Duration)) *Client {
-	if retries < 0 {
-		retries = 0
-	}
-	c.retries = retries
-	if maxBackoff > 0 {
-		c.maxBackoff = maxBackoff
-	}
-	if sleep != nil {
-		c.sleep = sleep
-	}
-	return c
-}
-
 // retryAfter extracts the advertised wait from a 429, falling back to
-// fallbackRetryAfter and capping at the client's maximum.
+// fallbackRetryAfter and capping at DefaultMaxBackoff.
 func (c *Client) retryAfter(resp *http.Response) time.Duration {
 	wait := fallbackRetryAfter
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
 		wait = time.Duration(secs) * time.Second
 	}
-	if wait > c.maxBackoff {
-		wait = c.maxBackoff
+	if wait > DefaultMaxBackoff {
+		wait = DefaultMaxBackoff
 	}
 	return wait
 }
@@ -119,7 +96,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte) (*h
 		if err != nil {
 			return nil, err
 		}
-		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.retries {
+		if resp.StatusCode != http.StatusTooManyRequests || attempt >= DefaultRetries {
 			return resp, nil
 		}
 		// Rejected for saturation with retries left: drain the rejection
@@ -241,22 +218,6 @@ func (c *Client) FleetStream(ctx context.Context, req FleetRequest, onProgress f
 			return *ev.Result, nil
 		}
 	}
-}
-
-// Experiment fetches one §6 experiment table as its JSON document.
-func (c *Client) Experiment(ctx context.Context, id string) (json.RawMessage, error) {
-	var out json.RawMessage
-	_, err := c.do(ctx, http.MethodGet, "/v1/exp/"+id, nil, &out)
-	return out, err
-}
-
-// Experiments lists the available experiment IDs.
-func (c *Client) Experiments(ctx context.Context) ([]string, error) {
-	var out ExperimentList
-	if _, err := c.do(ctx, http.MethodGet, "/v1/exp", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Experiments, nil
 }
 
 // Stats fetches the service counters.

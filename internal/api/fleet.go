@@ -134,7 +134,10 @@ func defaultFleetWire() ([]FleetClass, []FleetContent, []float64, int) {
 }
 
 // Normalize fills defaulted fields in place so requests differing only
-// in elided defaults share a key.
+// in elided defaults share a key. It defaults class and content elements
+// in copies of those slices, so keying a copy of a request (CacheKey
+// has a value receiver) never writes through the caller's backing
+// arrays.
 func (r *FleetRequest) Normalize() {
 	defClasses, defContents, defHours, defSegments := defaultFleetWire()
 	if r.Scheme == "" {
@@ -152,6 +155,8 @@ func (r *FleetRequest) Normalize() {
 	if len(r.Contents) == 0 {
 		r.Contents = defContents
 	}
+	r.Classes = append([]FleetClass(nil), r.Classes...)
+	r.Contents = append([]FleetContent(nil), r.Contents...)
 	for i := range r.Classes {
 		if r.Classes[i].PerfScale == 0 {
 			r.Classes[i].PerfScale = 1

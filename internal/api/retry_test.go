@@ -27,8 +27,16 @@ func rejectingHandler(rejections *atomic.Int64, retryAfter string) http.Handler 
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"experiments":[]}`))
+		_, _ = w.Write([]byte(`{}`))
 	})
+}
+
+// recordingClient is a default client whose backoff waits are appended
+// to slept instead of passing in real time.
+func recordingClient(base string, slept *[]time.Duration) *Client {
+	c := NewClient(base)
+	c.sleep = func(d time.Duration) { *slept = append(*slept, d) }
+	return c
 }
 
 func TestClientRetriesHonorRetryAfter(t *testing.T) {
@@ -38,8 +46,7 @@ func TestClientRetriesHonorRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := NewClient(ts.URL).WithRetry(3, 5*time.Second, func(d time.Duration) { slept = append(slept, d) })
-	if _, err := c.Experiments(t.Context()); err != nil {
+	if err := recordingClient(ts.URL, &slept).Health(t.Context()); err != nil {
 		t.Fatalf("request failed despite retry budget: %v", err)
 	}
 	if len(slept) != 2 || slept[0] != 2*time.Second || slept[1] != 2*time.Second {
@@ -54,12 +61,11 @@ func TestClientCapsRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := NewClient(ts.URL).WithRetry(1, 250*time.Millisecond, func(d time.Duration) { slept = append(slept, d) })
-	if _, err := c.Experiments(t.Context()); err != nil {
+	if err := recordingClient(ts.URL, &slept).Health(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if len(slept) != 1 || slept[0] != 250*time.Millisecond {
-		t.Errorf("backoff schedule = %v, want the 250ms cap, not the advertised hour", slept)
+	if len(slept) != 1 || slept[0] != DefaultMaxBackoff {
+		t.Errorf("backoff schedule = %v, want the %v cap, not the advertised hour", slept, DefaultMaxBackoff)
 	}
 }
 
@@ -70,8 +76,7 @@ func TestClientFallbackWhenRetryAfterMissing(t *testing.T) {
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := NewClient(ts.URL).WithRetry(1, 5*time.Second, func(d time.Duration) { slept = append(slept, d) })
-	if _, err := c.Experiments(t.Context()); err != nil {
+	if err := recordingClient(ts.URL, &slept).Health(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 1 || slept[0] != time.Second {
@@ -85,26 +90,13 @@ func TestClientSurfacesRejectionPastBudget(t *testing.T) {
 	ts := httptest.NewServer(rejectingHandler(&rejections, "1"))
 	defer ts.Close()
 
-	var sleeps int
-	c := NewClient(ts.URL).WithRetry(3, 5*time.Second, func(time.Duration) { sleeps++ })
-	_, err := c.Experiments(t.Context())
+	var slept []time.Duration
+	err := recordingClient(ts.URL, &slept).Health(t.Context())
 	aerr, ok := err.(*Error)
 	if !ok || aerr.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want a 429 *Error after the budget", err)
 	}
-	if sleeps != 3 {
-		t.Errorf("slept %d times, want exactly the 3-retry budget", sleeps)
-	}
-}
-
-func TestClientRetryDisabled(t *testing.T) {
-	var rejections atomic.Int64
-	rejections.Store(1)
-	ts := httptest.NewServer(rejectingHandler(&rejections, "1"))
-	defer ts.Close()
-
-	c := NewClient(ts.URL).WithRetry(0, 0, func(time.Duration) { t.Error("fail-fast client slept") })
-	if _, err := c.Experiments(t.Context()); err == nil {
-		t.Fatal("retry-disabled client absorbed the 429")
+	if len(slept) != DefaultRetries {
+		t.Errorf("slept %d times, want exactly the %d-retry budget", len(slept), DefaultRetries)
 	}
 }

@@ -14,10 +14,55 @@ import (
 	"burstlink/internal/units"
 )
 
+// timeIn returns the total duration tl spends in package state s.
+func timeIn(tl trace.Timeline, s soc.PackageCState) time.Duration {
+	var sum time.Duration
+	for _, p := range tl.Phases {
+		if p.State == s {
+			sum += p.Duration
+		}
+	}
+	return sum
+}
+
 func reduction(t *testing.T, base trace.Timeline, tl trace.Timeline, load power.Load) float64 {
 	t.Helper()
 	m := power.Default()
 	return 1 - float64(m.Evaluate(tl, load).Average)/float64(m.Evaluate(base, load).Average)
+}
+
+// CompressRLE is a real frame-buffer compressor in the family the paper
+// cites (run-length + differential pulse-code modulation, Shim et al.): it
+// encodes each row as DPCM residuals with zero-run elision. It returns the
+// compressed size; callers derive the achieved ratio. It grounds the FBC
+// model's compression rates in actual pixel data.
+func CompressRLE(data []byte, rowBytes int) int {
+	if rowBytes <= 0 || len(data) == 0 {
+		return len(data)
+	}
+	out := 0
+	for off := 0; off < len(data); off += rowBytes {
+		end := off + rowBytes
+		if end > len(data) {
+			end = len(data)
+		}
+		prev := byte(0)
+		zeroRun := 0
+		for _, b := range data[off:end] {
+			d := b - prev
+			prev = b
+			if d == 0 {
+				zeroRun++
+				continue
+			}
+			// Flush the run as (marker, count) pairs of 2 bytes each.
+			out += 2 * ((zeroRun + 254) / 255)
+			zeroRun = 0
+			out++ // literal residual
+		}
+		out += 2 * ((zeroRun + 254) / 255)
+	}
+	return out
 }
 
 func TestCompressRLECompressesSmoothContent(t *testing.T) {
@@ -192,7 +237,7 @@ func TestVIPBetweenBaselineAndBurstLink(t *testing.T) {
 		t.Errorf("BurstLink %.1f%% must beat VIP %.1f%%", redBL*100, redVIP*100)
 	}
 	// VIP never reaches C9.
-	if v.TimeIn(soc.C9) != 0 {
+	if timeIn(v, soc.C9) != 0 {
 		t.Error("VIP should not reach C9")
 	}
 }

@@ -15,42 +15,6 @@ import (
 	"burstlink/internal/units"
 )
 
-// CompressRLE is a real frame-buffer compressor in the family the paper
-// cites (run-length + differential pulse-code modulation, Shim et al.): it
-// encodes each row as DPCM residuals with zero-run elision. It returns the
-// compressed size; callers derive the achieved ratio. It exists to ground
-// the FBC model's compression rates in actual pixel data.
-//
-//lint:ignore unitcheck rowBytes is a slice stride consumed directly by indexing; ByteSize would force conversions in the hot loop
-func CompressRLE(data []byte, rowBytes int) int {
-	if rowBytes <= 0 || len(data) == 0 {
-		return len(data)
-	}
-	out := 0
-	for off := 0; off < len(data); off += rowBytes {
-		end := off + rowBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		prev := byte(0)
-		zeroRun := 0
-		for _, b := range data[off:end] {
-			d := b - prev
-			prev = b
-			if d == 0 {
-				zeroRun++
-				continue
-			}
-			// Flush the run as (marker, count) pairs of 2 bytes each.
-			out += 2 * ((zeroRun + 254) / 255)
-			zeroRun = 0
-			out++ // literal residual
-		}
-		out += 2 * ((zeroRun + 254) / 255)
-	}
-	return out
-}
-
 // FBCConfig tunes the frame-buffer-compression baseline (Fig 13).
 type FBCConfig struct {
 	// Rate is the compression rate: 0.5 means the frame buffer shrinks

@@ -106,7 +106,10 @@ func ringHash(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Nodes returns the sorted member names. The slice is a copy.
+// Nodes returns the sorted member names. The slice is a copy. Nodes,
+// WithNode and WithoutNode are called by ring_test.go today; they are
+// kept for the router's planned node failover (ROADMAP.md), which
+// rebuilds its ring with them.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // Len returns the member count.

@@ -91,9 +91,6 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// BitsRead returns the total bits consumed.
-func (r *BitReader) BitsRead() int { return r.pos*8 + int(r.bit) }
-
 // WriteUE appends v in unsigned Exp-Golomb code (the H.264/HEVC ue(v)
 // syntax element).
 func (w *BitWriter) WriteUE(v uint64) {

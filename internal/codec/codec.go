@@ -20,7 +20,6 @@ package codec
 
 import (
 	"fmt"
-	"math"
 )
 
 // MBSize is the macroblock edge length in pixels. The paper notes encoded
@@ -106,41 +105,6 @@ func (f *Frame) InterleavedInto(dst []byte) []byte {
 		dst[3*i+2] = f.Planes[2][i]
 	}
 	return dst
-}
-
-// FromInterleaved fills the frame from packed 3-byte pixels.
-func (f *Frame) FromInterleaved(data []byte) error {
-	if len(data) != f.Size() {
-		return fmt.Errorf("codec: interleaved data %d bytes, want %d", len(data), f.Size())
-	}
-	n := f.W * f.H
-	for i := 0; i < n; i++ {
-		f.Planes[0][i] = data[3*i]
-		f.Planes[1][i] = data[3*i+1]
-		f.Planes[2][i] = data[3*i+2]
-	}
-	return nil
-}
-
-// PSNR returns the peak signal-to-noise ratio between two equally-sized
-// frames in dB, the standard lossy-codec quality metric. Identical frames
-// return +Inf.
-func PSNR(a, b *Frame) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("codec: PSNR dimensions %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	var se float64
-	for p := range a.Planes {
-		for i := range a.Planes[p] {
-			d := float64(a.Planes[p][i]) - float64(b.Planes[p][i])
-			se += d * d
-		}
-	}
-	if se == 0 {
-		return math.Inf(1), nil
-	}
-	mse := se / float64(3*a.W*a.H)
-	return 10 * math.Log10(255*255/mse), nil
 }
 
 // FrameType tags a frame's prediction structure (§2.4).

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,10 +61,46 @@ func TestFrameAccessors(t *testing.T) {
 	}
 }
 
+// fromInterleaved is Interleaved's inverse, the reference its round trip
+// is checked against: it fills f from packed 3-byte pixels.
+func fromInterleaved(f *Frame, data []byte) error {
+	if len(data) != f.Size() {
+		return fmt.Errorf("codec: interleaved data %d bytes, want %d", len(data), f.Size())
+	}
+	n := f.W * f.H
+	for i := 0; i < n; i++ {
+		f.Planes[0][i] = data[3*i]
+		f.Planes[1][i] = data[3*i+1]
+		f.Planes[2][i] = data[3*i+2]
+	}
+	return nil
+}
+
+// PSNR returns the peak signal-to-noise ratio between two equally-sized
+// frames in dB, the standard lossy-codec quality metric the tests and
+// examples grade reconstructions with. Identical frames return +Inf.
+func PSNR(a, b *Frame) (float64, error) {
+	if a.W != b.W || a.H != b.H {
+		return 0, fmt.Errorf("codec: PSNR dimensions %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
+	}
+	var se float64
+	for p := range a.Planes {
+		for i := range a.Planes[p] {
+			d := float64(a.Planes[p][i]) - float64(b.Planes[p][i])
+			se += d * d
+		}
+	}
+	if se == 0 {
+		return math.Inf(1), nil
+	}
+	mse := se / float64(3*a.W*a.H)
+	return 10 * math.Log10(255*255/mse), nil
+}
+
 func TestInterleavedRoundTrip(t *testing.T) {
 	f := noiseFrame(32, 16, 3)
 	g := NewFrame(32, 16)
-	if err := g.FromInterleaved(f.Interleaved()); err != nil {
+	if err := fromInterleaved(g, f.Interleaved()); err != nil {
 		t.Fatal(err)
 	}
 	for p := range f.Planes {
@@ -71,7 +108,7 @@ func TestInterleavedRoundTrip(t *testing.T) {
 			t.Fatalf("plane %d mismatch", p)
 		}
 	}
-	if err := g.FromInterleaved([]byte{1, 2, 3}); err == nil {
+	if err := fromInterleaved(g, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short data should error")
 	}
 }
@@ -133,7 +170,7 @@ func TestEncodeDecodeIntraBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := enc.Reconstructed()
+	want := enc.lastRecon
 	for p := range got.Planes {
 		if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 			t.Fatalf("plane %d: decoder != encoder reconstruction", p)
@@ -168,15 +205,15 @@ func TestEncodeDecodeSequenceBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		want := enc.Reconstructed()
+		want := enc.lastRecon
 		for p := range got.Planes {
 			if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 				t.Fatalf("frame %d plane %d: decode drift", i, p)
 			}
 		}
 	}
-	if dec.Frames() != 12 {
-		t.Fatalf("decoded %d frames", dec.Frames())
+	if dec.frames != 12 {
+		t.Fatalf("decoded %d frames", dec.frames)
 	}
 }
 
@@ -301,7 +338,7 @@ func TestBFrameEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := enc.Reconstructed()
+	want := enc.lastRecon
 	for p := range got.Planes {
 		if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 			t.Fatalf("B-frame plane %d drift", p)
@@ -396,7 +433,7 @@ func TestOddDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := enc.Reconstructed()
+	want := enc.lastRecon
 	for p := range got.Planes {
 		if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 			t.Fatalf("plane %d drift on odd dimensions", p)

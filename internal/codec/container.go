@@ -109,18 +109,3 @@ func (sr *StreamReader) ReadPacket() (Packet, error) {
 	}
 	return Packet{Type: FrameType(tRaw), Seq: int(seq), Data: data}, nil
 }
-
-// ReadAll drains the stream into a slice.
-func (sr *StreamReader) ReadAll() ([]Packet, error) {
-	var out []Packet
-	for {
-		p, err := sr.ReadPacket()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-}

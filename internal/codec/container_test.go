@@ -8,6 +8,21 @@ import (
 	"burstlink/internal/units"
 )
 
+// readAll drains the stream into a slice.
+func readAll(sr *StreamReader) ([]Packet, error) {
+	var out []Packet
+	for {
+		p, err := sr.ReadPacket()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+}
+
 func TestContainerRoundTrip(t *testing.T) {
 	w, h := 64, 48
 	enc, _ := NewEncoder(w, h, DefaultEncoderConfig())
@@ -37,7 +52,7 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sr.ReadAll()
+	got, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func encodeDecodeOnce(t *testing.T, cfg EncoderConfig, src *Frame) *Frame {
 	}
 	// Bit-exactness against the encoder's reconstruction must hold with
 	// and without the filter.
-	want := enc.Reconstructed()
+	want := enc.lastRecon
 	for p := range got.Planes {
 		if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 			t.Fatalf("plane %d drift (deblock=%v)", p, !cfg.NoDeblock)

@@ -37,9 +37,6 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // SetRowSink installs the macroblock-row streaming callback.
 func (d *Decoder) SetRowSink(s RowSink) { d.sink = s }
 
-// Frames returns the number of frames decoded.
-func (d *Decoder) Frames() int { return d.frames }
-
 // Decode reconstructs one packet into a frame. The decoder keeps the last
 // two reconstructions as references for P- and B-frames.
 func (d *Decoder) Decode(p Packet) (*Frame, error) {

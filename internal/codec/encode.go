@@ -81,13 +81,6 @@ func NewEncoder(w, h int, cfg EncoderConfig) (*Encoder, error) {
 	return e, nil
 }
 
-// Config returns the encoder configuration.
-func (e *Encoder) Config() EncoderConfig { return e.cfg }
-
-// Reconstructed returns the encoder-side reconstruction of the most
-// recently encoded frame (what the decoder will output for it).
-func (e *Encoder) Reconstructed() *Frame { return e.lastRecon }
-
 // Encode compresses f as the next frame in the stream, choosing I or P per
 // the GOP setting.
 func (e *Encoder) Encode(f *Frame) (Packet, EncodeStats, error) {

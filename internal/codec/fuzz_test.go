@@ -62,7 +62,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("frame %d: decode of valid packet: %v", frameIdx, err)
 			}
-			want := enc.Reconstructed()
+			want := enc.lastRecon
 			if got.W != want.W || got.H != want.H {
 				t.Fatalf("frame %d: decoded %dx%d, reconstruction %dx%d", frameIdx, got.W, got.H, want.W, want.H)
 			}

@@ -219,7 +219,7 @@ func TestIntraModesImproveDirectionalContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := enc.Reconstructed()
+	want := enc.lastRecon
 	for p := range got.Planes {
 		if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 			t.Fatalf("plane %d drift with intra modes", p)

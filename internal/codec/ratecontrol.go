@@ -112,6 +112,3 @@ func (r *RateControlledEncoder) Encode(f *Frame) (Packet, EncodeStats, error) {
 	r.rc.Observe(units.ByteSize(pkt.Size()))
 	return pkt, stats, nil
 }
-
-// Reconstructed exposes the encoder-side reconstruction.
-func (r *RateControlledEncoder) Reconstructed() *Frame { return r.enc.Reconstructed() }

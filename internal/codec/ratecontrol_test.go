@@ -44,7 +44,7 @@ func TestRateControllerConverges(t *testing.T) {
 		}
 		// Per-packet quality: decode must stay bit-exact even as the
 		// quant table changes mid-stream.
-		want := enc.Reconstructed()
+		want := enc.enc.lastRecon
 		for p := range got.Planes {
 			if !bytes.Equal(got.Planes[p], want.Planes[p]) {
 				t.Fatalf("frame %d plane %d drift under rate control", i, p)

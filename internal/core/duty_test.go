@@ -12,11 +12,11 @@ import (
 func TestVDDutyCycle(t *testing.T) {
 	p := pipeline.DefaultPlatform()
 	cfg := smallCfg(8)
-	base, err := pipeline.RunFunctional(p, cfg)
+	base, err := pipeline.RunFunctionalMemo(p, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := RunFunctional(p, cfg)
+	bl, err := RunFunctionalMemo(p, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

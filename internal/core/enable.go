@@ -10,7 +10,9 @@ import (
 )
 
 // Features is the subset of BurstLink the driver enabled after capability
-// negotiation.
+// negotiation. Negotiate, Schedule and Features are called by
+// enable_test.go today; they are kept in case capability negotiation
+// becomes the service's fallback (ROADMAP.md).
 type Features struct {
 	Bypass, Burst, Windowed bool
 }

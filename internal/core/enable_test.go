@@ -27,9 +27,9 @@ func TestNegotiate(t *testing.T) {
 func TestCapabilityBurstRateNegotiation(t *testing.T) {
 	caps := edp.BurstLinkPanelCaps()
 	// A panel capped at eDP 1.3 rates limits a 1.4 host.
-	caps.MaxLinkRate = edp.EDP13().MaxBandwidth()
+	caps.MaxLinkRate = edp.ConventionalPanelCaps().MaxLinkRate
 	got := caps.NegotiatedBurstRate(edp.EDP14())
-	if got != edp.EDP13().MaxBandwidth() {
+	if got != edp.ConventionalPanelCaps().MaxLinkRate {
 		t.Fatalf("negotiated = %v, want panel-limited", got)
 	}
 	// A DRFB-less panel cannot sink bursts.
@@ -72,7 +72,7 @@ func TestScheduleDegradesGracefully(t *testing.T) {
 	if !(pf < pb) {
 		t.Fatalf("full %v should beat degraded %v", pf, pb)
 	}
-	if full.TimeIn(soc.C9) == 0 || byp.TimeIn(soc.C9) != 0 {
+	if timeIn(full, soc.C9) == 0 || timeIn(byp, soc.C9) != 0 {
 		t.Fatal("C9 should require the DRFB")
 	}
 	_ = pc
@@ -88,7 +88,7 @@ func TestSchedulePanelLimitedBurstRate(t *testing.T) {
 	load := power.LoadOf(p, s)
 
 	slow := edp.BurstLinkPanelCaps()
-	slow.MaxLinkRate = edp.EDP13().MaxBandwidth()
+	slow.MaxLinkRate = edp.ConventionalPanelCaps().MaxLinkRate
 	tlSlow, f, err := Schedule(p, s, slow)
 	if err != nil || !f.Burst {
 		t.Fatalf("slow-panel schedule: %v %v", f, err)

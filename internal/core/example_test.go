@@ -65,7 +65,7 @@ func ExampleDestinationSelector() {
 	sel.SetVideoApps(1)
 	sel.SetPlanes(1, true)
 	fmt.Println("full-screen video:", sel.Destination())
-	sel.OnGraphicsInterrupt() // the GUI appeared
+	sel.SetPlanes(2, false) // the GUI appeared
 	fmt.Println("gui overlaid:    ", sel.Destination())
 	// Output:
 	// full-screen video: dc

@@ -25,8 +25,6 @@ type Firmware struct {
 	WakeVD func()
 	// BurstActive gates the maximum-bandwidth grant.
 	BurstActive bool
-
-	vdWakeups int
 }
 
 // Name implements soc.Firmware.
@@ -44,18 +42,6 @@ func (f *Firmware) Clamp(resolved soc.PackageCState) soc.PackageCState {
 	}
 	return resolved
 }
-
-// OnDCBufferEmpty implements change 2: the PMU receives the DC's empty
-// signal and raises the VD's wakeup signal (Fig 5).
-func (f *Firmware) OnDCBufferEmpty() {
-	f.vdWakeups++
-	if f.WakeVD != nil {
-		f.WakeVD()
-	}
-}
-
-// VDWakeups returns how many empty→wakeup handshakes occurred.
-func (f *Firmware) VDWakeups() int { return f.vdWakeups }
 
 // GrantMaxBandwidth implements change 3: whether the DC may drive the eDP
 // at maximum bandwidth. Bursting requires bypass-or-single-plane routing

@@ -34,20 +34,16 @@ func (b *dcBuffer) Accept(n units.ByteSize) time.Duration {
 	return 0
 }
 
-// RunFunctional executes the full BurstLink pipeline (Fig 5) end to end on
-// the discrete-event engine: decode streams macroblock rows peer-to-peer
-// into the DC buffer (Frame Buffer Bypass), the DC bursts the frame over
-// the eDP at maximum bandwidth into the panel's DRFB (Frame Bursting), a
-// FrameReady sideband flips the DRFB bank, and the BurstLink firmware
-// drops the package to C9 for the rest of the period. The DRAM frame
-// buffer is never touched.
-func RunFunctional(p pipeline.Platform, cfg pipeline.FunctionalConfig) (pipeline.FunctionalResult, error) {
-	return RunFunctionalMemo(p, nil, cfg)
-}
-
-// RunFunctionalMemo is RunFunctional with the synthetic encoded stream
-// served through the delta-simulation segment cache (the conventional
-// and BurstLink functional runs over the same content share one encode).
+// RunFunctionalMemo executes the full BurstLink pipeline (Fig 5) end to
+// end on the discrete-event engine: decode streams macroblock rows
+// peer-to-peer into the DC buffer (Frame Buffer Bypass), the DC bursts the
+// frame over the eDP at maximum bandwidth into the panel's DRFB (Frame
+// Bursting), a FrameReady sideband flips the DRFB bank, and the BurstLink
+// firmware drops the package to C9 for the rest of the period. The DRAM
+// frame buffer is never touched. The synthetic encoded stream is served
+// through the delta-simulation segment cache c (nil encodes directly), so
+// the conventional and BurstLink functional runs over the same content
+// share one encode.
 func RunFunctionalMemo(p pipeline.Platform, c *memo.Cache, cfg pipeline.FunctionalConfig) (pipeline.FunctionalResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return pipeline.FunctionalResult{}, err

@@ -15,7 +15,7 @@ func TestFunctionalBurstLinkWithBFrames(t *testing.T) {
 	for _, bPeriod := range []int{1, 2} {
 		cfg := smallCfg(13)
 		cfg.BPeriod = bPeriod
-		res, err := RunFunctional(p, cfg)
+		res, err := RunFunctionalMemo(p, nil, cfg)
 		if err != nil {
 			t.Fatalf("B=%d: %v", bPeriod, err)
 		}
@@ -39,7 +39,7 @@ func TestFunctionalBurstLinkWithBFrames(t *testing.T) {
 func TestPipelineFunctionalRejectsBFrames(t *testing.T) {
 	cfg := smallCfg(4)
 	cfg.BPeriod = 2
-	if _, err := pipeline.RunFunctional(pipeline.DefaultPlatform(), cfg); err == nil {
+	if _, err := pipeline.RunFunctionalMemo(pipeline.DefaultPlatform(), nil, cfg); err == nil {
 		t.Fatal("expected BPeriod rejection")
 	}
 }

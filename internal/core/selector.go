@@ -33,23 +33,21 @@ const (
 	RegSingleVideo    = "single_video"     // VD: derived flag
 	RegActivePlanes   = "active_planes"    // DC: number of planes to compose
 	RegVideoPlaneOnly = "video_plane_only" // DC: derived signal
-	RegPSR2Active     = "psr2_active"      // DC: selective-update session live
 )
 
 // DestinationSelector implements §4.4's destination selector: it routes
 // VD/GPU output to the DC only when exactly one video application runs
 // (VD CSR) and only the video plane is displayed (DC CSR). Any fallback
-// condition — a graphics plane appearing, PSR2 exit, multiple panels —
+// condition — a second video application, a graphics plane appearing —
 // reverts to the conventional DRAM path.
 type DestinationSelector struct {
 	vd, dc *interconnect.CSRFile
-	panels int
 }
 
 // NewDestinationSelector wires the selector to the VD and DC register
 // banks.
 func NewDestinationSelector(vd, dc *interconnect.CSRFile) *DestinationSelector {
-	return &DestinationSelector{vd: vd, dc: dc, panels: 1}
+	return &DestinationSelector{vd: vd, dc: dc}
 }
 
 // SetVideoApps records the number of concurrently running video
@@ -66,25 +64,9 @@ func (s *DestinationSelector) SetPlanes(total int, videoOnly bool) {
 	s.dc.SetFlag(RegVideoPlaneOnly, total == 1 && videoOnly)
 }
 
-// SetPanels records how many display panels are attached; BurstLink does
-// not support multi-panel (§4.1 fallback case 3).
-func (s *DestinationSelector) SetPanels(n int) { s.panels = n }
-
-// OnGraphicsInterrupt handles the DC's graphics interrupt (§4.1 fallback
-// case 1): a graphics plane appeared, e.g. the application GUI.
-func (s *DestinationSelector) OnGraphicsInterrupt() {
-	s.dc.SetFlag(RegVideoPlaneOnly, false)
-}
-
-// OnPSR2Exit handles a user-input-driven PSR2 exit (§4.1 fallback case 2).
-func (s *DestinationSelector) OnPSR2Exit() {
-	s.dc.SetFlag(RegPSR2Active, false)
-	s.dc.SetFlag(RegVideoPlaneOnly, false)
-}
-
 // Destination resolves the current routing decision.
 func (s *DestinationSelector) Destination() Destination {
-	if s.panels == 1 && s.vd.Flag(RegSingleVideo) && s.dc.Flag(RegVideoPlaneOnly) {
+	if s.vd.Flag(RegSingleVideo) && s.dc.Flag(RegVideoPlaneOnly) {
 		return DestDC
 	}
 	return DestDRAM

@@ -96,13 +96,13 @@ func TestBurstSchemesReachC9(t *testing.T) {
 	p, s := defaults()
 	for _, name := range []string{"burst", "full"} {
 		tl := allSchemes(t, p, s)[name]
-		if tl.TimeIn(soc.C9) <= 0 {
+		if timeIn(tl, soc.C9) <= 0 {
 			t.Errorf("%s: no C9 residency", name)
 		}
 	}
 	// Bypass-only (pixel-paced link) cannot enter C9.
 	byp, _ := BypassOnly(p, s)
-	if byp.TimeIn(soc.C9) != 0 {
+	if timeIn(byp, soc.C9) != 0 {
 		t.Error("bypass-only should not reach C9")
 	}
 	if byp.DeepestState() != soc.C8 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"burstlink/internal/display"
 	"burstlink/internal/edp"
@@ -168,7 +167,3 @@ func RunWindowedFunctional(c WindowedConfig, frames int) (WindowedResult, error)
 		Tears:      st.Tears,
 	}, nil
 }
-
-// windowedDuration is a small helper ensuring analytic windowed timelines
-// stay within the frame period (used by tests).
-func windowedDuration(tl trace.Timeline) time.Duration { return tl.Total() }

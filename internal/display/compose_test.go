@@ -2,6 +2,8 @@ package display
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"testing"
 
 	"burstlink/internal/edp"
@@ -140,4 +142,142 @@ func TestComposeStats(t *testing.T) {
 	if st.Frames != 2 || st.Pixels != 2*32*16 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// The plane compositor below is test-only: no binary, figure or
+// benchmark composes planes, and these tests are its only callers.
+
+// Plane is one display plane (§3: background, video, application-graphic
+// GUI, cursor). "The final image is a composition (overlay) of different
+// planes in a pre-defined order of superposition."
+type Plane struct {
+	Name string
+	// Z is the superposition order: higher Z draws on top.
+	Z int
+	// Rect places the plane on the panel.
+	Rect edp.Rect
+	// Data is the plane's pixel content (3 bytes/pixel, row-major,
+	// Rect.W×Rect.H). Nil means a solid fill of Fill.
+	Data []byte
+	// Fill is the solid color used when Data is nil.
+	Fill [3]byte
+	// Transparent marks Fill-colored pixels in Data as see-through
+	// (cursor/GUI planes).
+	Transparent bool
+}
+
+// PlaneKind classifies planes for the destination selector's
+// video_plane_only signal.
+type PlaneKind int
+
+// Plane kinds (§3's four-plane example).
+const (
+	PlaneBackground PlaneKind = iota
+	PlaneVideo
+	PlaneGUI
+	PlaneCursor
+)
+
+// Compositor is the display controller's plane-composition engine: it
+// merges the enabled planes into the single frame the DC sends to the
+// panel. When more than the video plane is enabled, BurstLink must fall
+// back to the conventional DRAM path precisely because this merge needs
+// all the planes' frame buffers (§4.1).
+type Compositor struct {
+	res    units.Resolution
+	planes []Plane
+
+	composed int
+	pixels   int64
+}
+
+// NewCompositor builds a compositor for the panel resolution.
+func NewCompositor(res units.Resolution) *Compositor {
+	return &Compositor{res: res}
+}
+
+// SetPlane adds or replaces a plane by name.
+func (c *Compositor) SetPlane(p Plane) error {
+	r := p.Rect
+	if r.Empty() || r.X < 0 || r.Y < 0 || r.X+r.W > c.res.Width || r.Y+r.H > c.res.Height {
+		return fmt.Errorf("display: plane %q rect %+v outside panel %v", p.Name, r, c.res)
+	}
+	if p.Data != nil && len(p.Data) != r.Pixels()*3 {
+		return fmt.Errorf("display: plane %q data %d bytes, want %d", p.Name, len(p.Data), r.Pixels()*3)
+	}
+	for i := range c.planes {
+		if c.planes[i].Name == p.Name {
+			c.planes[i] = p
+			return nil
+		}
+	}
+	c.planes = append(c.planes, p)
+	return nil
+}
+
+// RemovePlane drops a plane by name; unknown names are a no-op.
+func (c *Compositor) RemovePlane(name string) {
+	for i := range c.planes {
+		if c.planes[i].Name == name {
+			c.planes = append(c.planes[:i], c.planes[i+1:]...)
+			return
+		}
+	}
+}
+
+// PlaneCount returns how many planes are enabled — the quantity the DC
+// exposes in its CSRs for the destination selector.
+func (c *Compositor) PlaneCount() int { return len(c.planes) }
+
+// VideoPlaneOnly reports whether exactly one plane named "video" is
+// enabled (the video_plane_only condition of §4.4).
+func (c *Compositor) VideoPlaneOnly() bool {
+	return len(c.planes) == 1 && c.planes[0].Name == "video"
+}
+
+// Compose merges the planes in Z order into a full frame. It returns the
+// composed frame; the pixel count processed feeds DC-work accounting.
+func (c *Compositor) Compose(seq int) (Frame, error) {
+	if len(c.planes) == 0 {
+		return Frame{}, fmt.Errorf("display: compose with no planes")
+	}
+	out := make([]byte, c.res.Pixels()*3)
+	ordered := append([]Plane(nil), c.planes...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Z < ordered[j].Z })
+	for _, p := range ordered {
+		c.blit(out, p)
+	}
+	c.composed++
+	c.pixels += int64(c.res.Pixels())
+	return Frame{Seq: seq, Data: out}, nil
+}
+
+func (c *Compositor) blit(dst []byte, p Plane) {
+	for y := 0; y < p.Rect.H; y++ {
+		rowOff := ((p.Rect.Y+y)*c.res.Width + p.Rect.X) * 3
+		for x := 0; x < p.Rect.W; x++ {
+			var px [3]byte
+			if p.Data == nil {
+				px = p.Fill
+			} else {
+				i := (y*p.Rect.W + x) * 3
+				px = [3]byte{p.Data[i], p.Data[i+1], p.Data[i+2]}
+				if p.Transparent && px == p.Fill {
+					continue
+				}
+			}
+			copy(dst[rowOff+3*x:rowOff+3*x+3], px[:])
+		}
+	}
+}
+
+// Stats reports compositor work.
+type ComposeStats struct {
+	Frames int
+	Pixels int64
+}
+
+// Stats returns the counters.
+func (c *Compositor) Stats() ComposeStats {
+	return ComposeStats{Frames: c.composed, Pixels: c.pixels}
 }

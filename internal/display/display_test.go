@@ -20,9 +20,6 @@ func TestConfigDerived(t *testing.T) {
 	if cfg.FrameSize() != units.R4K.FrameSize(24) {
 		t.Fatal("frame size wrong")
 	}
-	if cfg.PixelRate() != units.RefreshRate(60).PixelRate(units.R4K, 24) {
-		t.Fatal("pixel rate wrong")
-	}
 }
 
 func TestRFBSingleBankTearsOnScanOverlap(t *testing.T) {
@@ -75,8 +72,8 @@ func TestDRFBWriteDuringScanIsSafe(t *testing.T) {
 	if f, _ := d.Visible(); f.Seq != 2 {
 		t.Fatalf("visible seq = %d after flip, want 2", f.Seq)
 	}
-	if d.Flips() != 2 {
-		t.Fatalf("flips = %d", d.Flips())
+	if d.flips != 2 {
+		t.Fatalf("flips = %d", d.flips)
 	}
 }
 
@@ -90,7 +87,7 @@ func TestDRFBFlipWithoutPendingIsNoop(t *testing.T) {
 	if before.Seq != after.Seq {
 		t.Fatal("flip without pending changed visible frame")
 	}
-	if d.HasPending() {
+	if d.pending {
 		t.Fatal("pending should be clear")
 	}
 }
@@ -177,8 +174,8 @@ func TestPSRProtocol(t *testing.T) {
 	if err := p.HandleSideband(edp.SidebandMsg{Kind: edp.PSREnter}); err != nil {
 		t.Fatal(err)
 	}
-	if p.PSR() != PSRActive {
-		t.Fatalf("psr = %v", p.PSR())
+	if p.psr != PSRActive {
+		t.Fatalf("psr = %v", p.psr)
 	}
 	// Self-refresh passes count as such.
 	p.Refresh()
@@ -189,8 +186,8 @@ func TestPSRProtocol(t *testing.T) {
 	if err := p.HandleSideband(edp.SidebandMsg{Kind: edp.PSRExit}); err != nil {
 		t.Fatal(err)
 	}
-	if p.PSR() != PSRInactive {
-		t.Fatalf("psr = %v after exit", p.PSR())
+	if p.psr != PSRInactive {
+		t.Fatalf("psr = %v after exit", p.psr)
 	}
 }
 
@@ -204,8 +201,8 @@ func TestPSR2UpdateRequiresActivePSR(t *testing.T) {
 	if err := p.HandleSideband(edp.SidebandMsg{Kind: edp.PSR2Update}); err != nil {
 		t.Fatal(err)
 	}
-	if p.PSR() != PSRActiveSU {
-		t.Fatalf("psr = %v", p.PSR())
+	if p.psr != PSRActiveSU {
+		t.Fatalf("psr = %v", p.psr)
 	}
 }
 

@@ -43,10 +43,6 @@ type Config struct {
 // FrameSize returns the panel's native frame size.
 func (c Config) FrameSize() units.ByteSize { return c.Resolution.FrameSize(c.BPP) }
 
-// PixelRate returns the fixed rate at which the pixel formatter feeds the
-// LCD drivers, set by resolution, refresh rate, and color depth (§4.2).
-func (c Config) PixelRate() units.DataRate { return c.Refresh.PixelRate(c.Resolution, c.BPP) }
-
 // Panel is a display panel: T-con (frame store + PSR machine), pixel
 // formatter, and LCD scan-out statistics.
 type Panel struct {
@@ -73,14 +69,8 @@ func NewPanel(cfg Config) *Panel {
 	return &Panel{cfg: cfg, store: store, lastSeq: -1}
 }
 
-// Config returns the panel configuration.
-func (p *Panel) Config() Config { return p.cfg }
-
 // Store exposes the frame store for inspection.
 func (p *Panel) Store() FrameStore { return p.store }
-
-// PSR returns the protocol state.
-func (p *Panel) PSR() PSRState { return p.psr }
 
 // HandleSideband processes one AUX-channel message (from
 // edp.Link.DrainSideband). Invalid transitions return an error.

@@ -60,8 +60,7 @@ func (r *RFB) Tears() int { return r.tears }
 // link can deposit a new frame at full burst bandwidth into one bank while
 // the pixel formatter refreshes the panel from the other. The paper notes
 // the DRFB's DRAM mounts on a flexible PCB off-panel and adds ~58 mW and
-// ~32.5 cents to the panel BOM (§4.4); those constants live here for the
-// cost/power accounting.
+// ~32.5 cents to the panel BOM (§4.4).
 type DRFB struct {
 	capacity units.ByteSize
 	banks    [2]Frame
@@ -73,10 +72,6 @@ type DRFB struct {
 	tears    int
 	flips    int
 }
-
-// DRFBExtraPower is the additional panel power of doubling the RFB,
-// estimated from Samsung's cost-effective driver-IC proposal (§4.4).
-const DRFBExtraPower = 58 * units.MilliWatt
 
 // NewDRFB builds a double remote frame buffer.
 func NewDRFB(capacity units.ByteSize) *DRFB {
@@ -123,12 +118,6 @@ func (d *DRFB) Flip() error {
 	d.flips++
 	return nil
 }
-
-// HasPending reports whether a written frame awaits publication.
-func (d *DRFB) HasPending() bool { return d.pending }
-
-// Flips returns how many frames were published.
-func (d *DRFB) Flips() int { return d.flips }
 
 // BeginScan implements FrameStore.
 func (d *DRFB) BeginScan() { d.scanning = true }

@@ -20,7 +20,7 @@ type PowerState int
 // DRAM power states, deep to shallow.
 const (
 	SelfRefresh PowerState = iota // clock stopped, device refreshes itself
-	CKELow                        // fast power-down, quick re-activation
+	_                             // CKE-Low fast power-down, quick re-activation
 	CKEHigh                       // active or active-idle
 )
 
@@ -69,18 +69,6 @@ func DefaultLPDDR3() Config {
 	}
 }
 
-// BackgroundPower returns the traffic-independent power in state s.
-func (c Config) BackgroundPower(s PowerState) units.Power {
-	switch s {
-	case SelfRefresh:
-		return c.SelfRefreshPower
-	case CKELow:
-		return c.CKELowPower
-	default:
-		return c.CKEHighPower
-	}
-}
-
 // OperatingPower returns the bandwidth-proportional power for the given
 // read and write rates.
 func (c Config) OperatingPower(read, write units.DataRate) units.Power {
@@ -110,25 +98,6 @@ func NewDevice(cfg Config) *Device {
 	}
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
-// State returns the current power state.
-func (d *Device) State() PowerState { return d.state }
-
-// SetState transitions the device at virtual time now, accruing time spent
-// in the previous state.
-func (d *Device) SetState(s PowerState, now time.Duration) {
-	if now > d.lastChange {
-		d.inState[d.state] += now - d.lastChange
-		d.lastChange = now
-	}
-	d.state = s
-}
-
-// TimeIn returns accumulated time in state s (up to the last SetState).
-func (d *Device) TimeIn(s PowerState) time.Duration { return d.inState[s] }
-
 // Read accounts n bytes of read traffic and returns the transfer duration
 // at sustained bandwidth. Reading while in self-refresh panics: the model
 // requires the memory controller to wake the device first, and a violation
@@ -155,6 +124,3 @@ func (d *Device) requireAwake(op string) {
 
 // Traffic returns cumulative read and write byte counts.
 func (d *Device) Traffic() (read, write units.ByteSize) { return d.reads, d.writes }
-
-// ResetTraffic zeroes the traffic counters (between experiment runs).
-func (d *Device) ResetTraffic() { d.reads, d.writes = 0, 0 }

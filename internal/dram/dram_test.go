@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,67 @@ import (
 
 	"burstlink/internal/units"
 )
+
+// The power-state machine and accessors below are test-only: no
+// simulator changes a DRAM device's power state or frees a buffer (the
+// power model derives DRAM power from the package C-state), so only these
+// tests drive them.
+
+// CKELow is the fast power-down state, quick re-activation.
+const CKELow PowerState = 1
+
+// BackgroundPower returns the traffic-independent power in state s.
+func (c Config) BackgroundPower(s PowerState) units.Power {
+	switch s {
+	case SelfRefresh:
+		return c.SelfRefreshPower
+	case CKELow:
+		return c.CKELowPower
+	default:
+		return c.CKEHighPower
+	}
+}
+
+// State returns the current power state.
+func (d *Device) State() PowerState { return d.state }
+
+// SetState transitions the device at virtual time now, accruing time spent
+// in the previous state.
+func (d *Device) SetState(s PowerState, now time.Duration) {
+	if now > d.lastChange {
+		d.inState[d.state] += now - d.lastChange
+		d.lastChange = now
+	}
+	d.state = s
+}
+
+// TimeIn returns accumulated time in state s (up to the last SetState).
+func (d *Device) TimeIn(s PowerState) time.Duration { return d.inState[s] }
+
+// ResetTraffic zeroes the traffic counters (between experiment runs).
+func (d *Device) ResetTraffic() { d.reads, d.writes = 0, 0 }
+
+// Free releases a buffer. Double-free is an error.
+func (d *Device) Free(b *Buffer) error {
+	if b == nil || b.freed {
+		return fmt.Errorf("dram: free: buffer already freed or nil")
+	}
+	b.freed = true
+	d.alloc.used -= b.Size
+	return nil
+}
+
+// Used returns the currently allocated byte count.
+func (d *Device) Used() units.ByteSize { return d.alloc.used }
+
+// Front returns the buffer currently scanned out.
+func (db *DoubleBuffer) Front() *Buffer { return db.front }
+
+// Back returns the buffer currently written by the producer.
+func (db *DoubleBuffer) Back() *Buffer { return db.back }
+
+// Swaps returns how many frames have been published.
+func (db *DoubleBuffer) Swaps() int { return db.swaps }
 
 func TestDefaultConfigSanity(t *testing.T) {
 	cfg := DefaultLPDDR3()

@@ -44,19 +44,6 @@ func (d *Device) Allocate(name string, size units.ByteSize) (*Buffer, error) {
 	return b, nil
 }
 
-// Free releases a buffer. Double-free is an error.
-func (d *Device) Free(b *Buffer) error {
-	if b == nil || b.freed {
-		return fmt.Errorf("dram: free: buffer already freed or nil")
-	}
-	b.freed = true
-	d.alloc.used -= b.Size
-	return nil
-}
-
-// Used returns the currently allocated byte count.
-func (d *Device) Used() units.ByteSize { return d.alloc.used }
-
 // DoubleBuffer is the conventional host-DRAM double frame buffer: the
 // display controller scans the front buffer while the decoder writes the
 // back buffer, swapping on frame completion. BurstLink's DRFB moves this
@@ -79,17 +66,8 @@ func NewDoubleBuffer(d *Device, name string, frameSize units.ByteSize) (*DoubleB
 	return &DoubleBuffer{front: f, back: b}, nil
 }
 
-// Front returns the buffer currently scanned out.
-func (db *DoubleBuffer) Front() *Buffer { return db.front }
-
-// Back returns the buffer currently written by the producer.
-func (db *DoubleBuffer) Back() *Buffer { return db.back }
-
 // Swap exchanges front and back, publishing the just-written frame.
 func (db *DoubleBuffer) Swap() {
 	db.front, db.back = db.back, db.front
 	db.swaps++
 }
-
-// Swaps returns how many frames have been published.
-func (db *DoubleBuffer) Swaps() int { return db.swaps }

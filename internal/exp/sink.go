@@ -53,8 +53,7 @@ func cellString(col sink.Column, v sink.Value) string {
 // schema's column names become the header and every appended row is
 // formatted with the schema's unit hints. It is how experiment drivers
 // produce their printable tables through the same interface the fleet
-// executor streams into — a driver that appends to a Tee of a TableSink
-// and a sink.Agg gets its table and its aggregate from one pass.
+// executor streams into.
 type TableSink struct {
 	T      *Table
 	schema sink.Schema

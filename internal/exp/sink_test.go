@@ -22,7 +22,7 @@ func TestTableSinkFormatsUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = ts.Append([]sink.Value{
-		sink.Str("seg"), sink.IntV(7), sink.FloatV(412.4), sink.FloatV(0.234), sink.FloatV(3), sink.FloatV(1.5),
+		sink.Str("seg"), {I: 7}, sink.FloatV(412.4), sink.FloatV(0.234), sink.FloatV(3), sink.FloatV(1.5),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -126,9 +126,25 @@ func TestRunDeterminismMatrix(t *testing.T) {
 	}
 }
 
+// floatCols is a Columns that also keeps each row's float cells for the
+// per-row checks.
+type floatCols struct {
+	sink.Columns
+	floats [][]float64
+}
+
+func (f *floatCols) Append(row []sink.Value) error {
+	r := make([]float64, len(row))
+	for i, v := range row {
+		r[i] = v.F
+	}
+	f.floats = append(f.floats, r)
+	return f.Columns.Append(row)
+}
+
 func TestRunDedupAndRowCount(t *testing.T) {
 	pop := testPopulation()
-	var cols sink.Columns
+	var cols floatCols
 	out, err := Run(context.Background(), pop, &cols, Options{Memo: memo.NewCache(4096)})
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +160,10 @@ func TestRunDedupAndRowCount(t *testing.T) {
 	}
 	// The technique arm should save energy on every configuration.
 	for r := 0; r < cols.Rows(); r++ {
-		if s := cols.FloatAt(2, r); s <= 0 || s >= 100 {
+		if s := cols.floats[r][2]; s <= 0 || s >= 100 {
 			t.Fatalf("row %d: saving %g%% outside (0, 100)", r, s)
 		}
-		if imp := cols.FloatAt(1, r); imp <= 0 {
+		if imp := cols.floats[r][1]; imp <= 0 {
 			t.Fatalf("row %d: battery impact %g%% not positive", r, imp)
 		}
 	}

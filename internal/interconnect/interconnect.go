@@ -46,12 +46,6 @@ func NewFabric(bw units.DataRate) *Fabric {
 // DefaultFabric returns a fabric with the pipeline's default bandwidth.
 func DefaultFabric() *Fabric { return NewFabric(units.GBps(25)) }
 
-// Bandwidth returns the fabric's sustained bandwidth.
-func (f *Fabric) Bandwidth() units.DataRate { return f.bandwidth }
-
-// Moved returns total bytes carried since construction.
-func (f *Fabric) Moved() units.ByteSize { return f.moved }
-
 // carry accounts n bytes and returns the fabric transfer time.
 func (f *Fabric) carry(n units.ByteSize) time.Duration {
 	f.moved += n
@@ -84,11 +78,6 @@ func (d *DMAEngine) WriteMem(n units.ByteSize) time.Duration {
 func (d *DMAEngine) ReadMem(n units.ByteSize) time.Duration {
 	d.fromMem += n
 	return maxDur(d.fabric.carry(n), d.mem.Read(n))
-}
-
-// Traffic returns cumulative bytes written to and read from memory.
-func (d *DMAEngine) Traffic() (toMem, fromMem units.ByteSize) {
-	return d.toMem, d.fromMem
 }
 
 // P2PEngine moves data directly between two IPs over the fabric without
@@ -153,20 +142,6 @@ func (c *CSRFile) SetFlag(name string, v bool) {
 
 // Flag reads a boolean register.
 func (c *CSRFile) Flag(name string) bool { return c.regs[name] != 0 }
-
-// Increment adds one to a counter register and returns the new value.
-func (c *CSRFile) Increment(name string) uint64 {
-	c.regs[name]++
-	return c.regs[name]
-}
-
-// Decrement subtracts one from a counter register, saturating at zero.
-func (c *CSRFile) Decrement(name string) uint64 {
-	if c.regs[name] > 0 {
-		c.regs[name]--
-	}
-	return c.regs[name]
-}
 
 // String identifies the register bank.
 func (c *CSRFile) String() string { return fmt.Sprintf("CSR[%s]", c.owner) }

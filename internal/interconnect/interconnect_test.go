@@ -32,7 +32,7 @@ func TestFabricCarryTiming(t *testing.T) {
 	if sink.got != 25*units.MB {
 		t.Fatalf("sink received %v", sink.got)
 	}
-	if f.Moved() != 25*units.MB || p2p.Moved() != 25*units.MB {
+	if f.moved != 25*units.MB || p2p.Moved() != 25*units.MB {
 		t.Fatal("accounting wrong")
 	}
 }
@@ -58,9 +58,8 @@ func TestDMAAvoidsVsUsesDRAM(t *testing.T) {
 	if r != frame || w != frame {
 		t.Fatalf("DRAM traffic = %v/%v, want one frame each way", r, w)
 	}
-	toMem, fromMem := dma.Traffic()
-	if toMem != frame || fromMem != frame {
-		t.Fatalf("DMA accounting = %v/%v", toMem, fromMem)
+	if dma.toMem != frame || dma.fromMem != frame {
+		t.Fatalf("DMA accounting = %v/%v", dma.toMem, dma.fromMem)
 	}
 
 	// The same frame via P2P leaves DRAM untouched — the heart of Frame
@@ -97,6 +96,21 @@ func TestCSRFlags(t *testing.T) {
 	if csr.Flag("single_video") {
 		t.Fatal("flag did not clear")
 	}
+}
+
+// Increment and Decrement are the counter-register idiom a driver uses
+// to track running video applications (§4.4); the selector writes the
+// count directly, so only this test keeps them.
+func (c *CSRFile) Increment(name string) uint64 {
+	c.regs[name]++
+	return c.regs[name]
+}
+
+func (c *CSRFile) Decrement(name string) uint64 {
+	if c.regs[name] > 0 {
+		c.regs[name]--
+	}
+	return c.regs[name]
 }
 
 func TestCSRCounters(t *testing.T) {

@@ -72,9 +72,11 @@ type CallGraph struct {
 
 // CallNode is one declared function or method.
 type CallNode struct {
-	Fn      *types.Func
-	Decl    *ast.FuncDecl
-	Pkg     *Package
+	Fn   *types.Func
+	Decl *ast.FuncDecl
+	Pkg  *Package
+	// Callees and Callers are read by no analyzer yet; they are kept
+	// for the transitive call-graph summaries planned in ROADMAP.md.
 	Callees []*CallSite
 	Callers []*CallSite
 }

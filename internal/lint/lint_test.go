@@ -178,9 +178,11 @@ func TestFleetFixFixture(t *testing.T) {
 // consistent nesting and disjoint critical sections stay clean; a
 // reversed pair is reported at both inner acquisition sites, directly
 // and through a one-call-level helper; re-acquiring a held mutex is the
-// one-node cycle.
+// one-node cycle, and hand-over-hand locking of two instances of one type
+// is reported with its own message.
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorderfix", []*Analyzer{LockOrder})
+	checkFixture(t, "handoverfix", []*Analyzer{LockOrder})
 }
 
 // TestLeakCheckFixture lives at burstlink/internal/server/leakfix —

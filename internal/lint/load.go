@@ -114,6 +114,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 // loads pkgPath from that synthetic module — the fixture entry point
 // that lets testdata packages import each other (e.g. the stub
 // burstlink/internal/par the gatecheck fixtures acquire slots from).
+// Its callers are the want-fixture tests.
 func LoadTree(root, modPath, pkgPath string) (*Package, error) {
 	ld, err := newLoader(root, modPath)
 	if err != nil {

@@ -26,7 +26,11 @@ import (
 // package-level mutex by pkg.name — so acquisition sites in different
 // functions and packages land on the same graph node. A self-edge
 // (re-acquiring a mutex already held) is the degenerate one-node cycle;
-// it is the module's one self-deadlock rule.
+// it is the module's one self-deadlock rule. When the self-edge's two
+// receiver expressions differ (n.mu, then n.next.mu: hand-over-hand
+// locking), two instances of one type are held at once; that is not a
+// self-deadlock, and it is reported with its own message because the
+// analysis does not check the order in which instances are taken.
 //
 // Cycle detection runs once per analysis over the union of every
 // package's edges, and reports each edge that participates in a cyclic
@@ -43,13 +47,16 @@ var LockOrder = &Analyzer{
 
 // lockEdge is one acquisition-order fact: To was acquired at Pos while
 // From was held (acquired at FromPos). Via names the called helper when
-// the inner acquisition is one call level away.
+// the inner acquisition is one call level away. FromRecv and ToRecv are
+// set on a self-edge whose two receiver expressions differ.
 type lockEdge struct {
-	From    string
-	To      string
-	FromPos token.Position
-	Pos     token.Position
-	Via     string
+	From     string
+	To       string
+	FromPos  token.Position
+	Pos      token.Position
+	Via      string
+	FromRecv string
+	ToRecv   string
 }
 
 func runLockOrder(pass *Pass) {
@@ -103,6 +110,20 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 		return nil // no direct acquire here, so the held set stays empty
 	}
 	key := func(recv ast.Expr) string { return lockOrderKey(pass, recv, fnName) }
+	// recv spells each direct acquisition's receiver, so a self-edge
+	// between two instances (n.mu, then n.next.mu) is told apart from a
+	// re-acquisition of the same one.
+	recv := make(map[token.Pos]string)
+	ast.Inspect(body, func(m ast.Node) bool {
+		if stmt, ok := m.(*ast.ExprStmt); ok {
+			if call, ok := ast.Unparen(stmt.X).(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					recv[stmt.Pos()] = types.ExprString(sel.X)
+				}
+			}
+		}
+		return true
+	})
 	var edges []lockEdge
 	seen := make(map[string]bool)
 	add := func(held lockFact, to string, pos token.Pos, via string) {
@@ -124,13 +145,17 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 				continue
 			}
 			seen[k] = true
-			edges = append(edges, lockEdge{
+			e := lockEdge{
 				From:    from,
 				To:      to,
 				FromPos: pass.Fset.Position(held[from]),
 				Pos:     p,
 				Via:     via,
-			})
+			}
+			if from == to && recv[held[from]] != recv[pos] {
+				e.FromRecv, e.ToRecv = recv[held[from]], recv[pos]
+			}
+			edges = append(edges, e)
 		}
 	}
 	forEachHeld(pass, body, key, func(n ast.Node, held lockFact) {
@@ -239,7 +264,10 @@ func lockOrderCycles(edges []lockEdge) []Finding {
 		if e.Via != "" {
 			how += " (via call to " + e.Via + ")"
 		}
-		if e.From == e.To {
+		if e.From == e.To && e.FromRecv != e.ToRecv {
+			msg = fmt.Sprintf("lock order: two instances of %s held at once (%s, then %s); not a self-deadlock, but the order instances are taken in is not checked",
+				how, e.FromRecv, e.ToRecv)
+		} else if e.From == e.To {
 			msg = fmt.Sprintf("lock order cycle: %s acquired while already held (self-deadlock); the goroutine blocks on itself", how)
 		} else {
 			cycle := append([]string(nil), members[id]...)

@@ -67,7 +67,6 @@ const (
 	kindFloat  = 'f'
 	kindBool   = 'b'
 	kindString = 's'
-	kindBytes  = 'y'
 	kindSub    = 'n'
 	kindEnd    = 'e'
 )
@@ -112,13 +111,6 @@ func (w *KeyWriter) Bool(name string, v bool) {
 // String appends a string field, length-prefixed.
 func (w *KeyWriter) String(name string, v string) {
 	w.tag(name, kindString)
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(v)))
-	w.buf = append(w.buf, v...)
-}
-
-// Bytes appends a raw byte field, length-prefixed.
-func (w *KeyWriter) Bytes(name string, v []byte) {
-	w.tag(name, kindBytes)
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(v)))
 	w.buf = append(w.buf, v...)
 }

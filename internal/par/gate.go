@@ -21,9 +21,6 @@ func NewGate(n int) *Gate {
 	return &Gate{slots: make(chan struct{}, n)}
 }
 
-// Cap returns the gate's admission capacity.
-func (g *Gate) Cap() int { return cap(g.slots) }
-
 // TryAcquire takes a slot without blocking, reporting whether it
 // succeeded. A true return must be paired with Release.
 func (g *Gate) TryAcquire() bool {

@@ -9,8 +9,8 @@ import (
 
 func TestGateCapacity(t *testing.T) {
 	g := NewGate(2)
-	if g.Cap() != 2 {
-		t.Fatalf("Cap = %d, want 2", g.Cap())
+	if cap(g.slots) != 2 {
+		t.Fatalf("Cap = %d, want 2", cap(g.slots))
 	}
 	if !g.TryAcquire() || !g.TryAcquire() {
 		t.Fatal("first two TryAcquire should succeed")
@@ -25,11 +25,11 @@ func TestGateCapacity(t *testing.T) {
 }
 
 func TestGateMinimumCapacity(t *testing.T) {
-	if got := NewGate(0).Cap(); got != 1 {
-		t.Fatalf("NewGate(0).Cap() = %d, want 1", got)
+	if got := cap(NewGate(0).slots); got != 1 {
+		t.Fatalf("cap(NewGate(0).slots) = %d, want 1", got)
 	}
-	if got := NewGate(-3).Cap(); got != 1 {
-		t.Fatalf("NewGate(-3).Cap() = %d, want 1", got)
+	if got := cap(NewGate(-3).slots); got != 1 {
+		t.Fatalf("cap(NewGate(-3).slots) = %d, want 1", got)
 	}
 }
 

@@ -135,9 +135,3 @@ func Map[T any](n int, fn func(i int) T) []T {
 	ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// Do runs the given heterogeneous tasks on the worker pool and waits for
-// all of them — the fan-out shape of the experiment sweep.
-func Do(fns ...func()) {
-	ForEach(len(fns), func(i int) { fns[i]() })
-}

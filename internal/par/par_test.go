@@ -52,6 +52,12 @@ func TestMapOrdersResults(t *testing.T) {
 	}
 }
 
+// Do runs the given heterogeneous tasks on the worker pool and waits for
+// all of them: ForEach over a task list, the shape this test pins.
+func Do(fns ...func()) {
+	ForEach(len(fns), func(i int) { fns[i]() })
+}
+
 func TestDoRunsAllTasks(t *testing.T) {
 	defer SetWorkers(SetWorkers(3))
 	var a, b, c atomic.Int32

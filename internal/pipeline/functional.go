@@ -138,25 +138,20 @@ func syntheticFrame(w, h, seq int) *codec.Frame {
 	return f
 }
 
-// RunFunctional executes the conventional pipeline (Fig 2) end to end on
-// the discrete-event engine: decode → DMA into the DRAM frame buffer →
-// DC chunk fetches → pixel-paced eDP transfer → panel RFB → scan-out,
-// with PSR for the repeat windows of low-FPS video.
-func RunFunctional(p Platform, cfg FunctionalConfig) (FunctionalResult, error) {
-	return RunFunctionalMemo(p, nil, cfg)
-}
-
-// RunFunctionalMemo is RunFunctional with the synthetic encoded stream
-// served through the delta-simulation segment cache: the event-driven
-// protocol run always executes (it is the thing under test), but the
-// software encode — the dominant setup cost — is shared across runs that
-// exercise the same content.
+// RunFunctionalMemo executes the conventional pipeline (Fig 2) end to end
+// on the discrete-event engine: decode → DMA into the DRAM frame buffer →
+// DC chunk fetches → pixel-paced eDP transfer → panel RFB → scan-out, with
+// PSR for the repeat windows of low-FPS video. The synthetic encoded
+// stream is served through the delta-simulation segment cache c (nil
+// encodes directly): the event-driven protocol run always executes (it is
+// the thing under test), but the software encode — the dominant setup
+// cost — is shared across runs that exercise the same content.
 func RunFunctionalMemo(p Platform, c *memo.Cache, cfg FunctionalConfig) (FunctionalResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FunctionalResult{}, err
 	}
 	if cfg.BPeriod != 0 {
-		return FunctionalResult{}, fmt.Errorf("pipeline: B-frame reordering is exercised by the BurstLink functional simulator (core.RunFunctional)")
+		return FunctionalResult{}, fmt.Errorf("pipeline: B-frame reordering is exercised by the BurstLink functional simulator (core.RunFunctionalMemo)")
 	}
 	packets, sums, err := SyntheticVideoMemo(c, cfg)
 	if err != nil {

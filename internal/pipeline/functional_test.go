@@ -52,7 +52,7 @@ func TestSyntheticVideoEncodes(t *testing.T) {
 
 func TestRunFunctionalConventional(t *testing.T) {
 	p := DefaultPlatform()
-	res, err := RunFunctional(p, funcCfg(6))
+	res, err := RunFunctionalMemo(p, nil, funcCfg(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRunFunctionalConventional(t *testing.T) {
 		t.Fatalf("timeline %v, want %v", res.Timeline.Total(), want)
 	}
 	// The alternation structure is present.
-	if res.Timeline.TimeIn(soc.C2) == 0 || res.Timeline.TimeIn(soc.C0) == 0 {
+	if timeIn(res.Timeline, soc.C2) == 0 || timeIn(res.Timeline, soc.C0) == 0 {
 		t.Fatalf("missing active states: %s", res.Timeline.String())
 	}
 }
@@ -86,7 +86,7 @@ func TestRunFunctional60FPSNoPSR(t *testing.T) {
 	p := DefaultPlatform()
 	cfg := funcCfg(4)
 	cfg.FPS = 60
-	res, err := RunFunctional(p, cfg)
+	res, err := RunFunctionalMemo(p, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunFunctional60FPSNoPSR(t *testing.T) {
 }
 
 func TestRunFunctionalRejectsBadConfig(t *testing.T) {
-	if _, err := RunFunctional(DefaultPlatform(), FunctionalConfig{}); err == nil {
+	if _, err := RunFunctionalMemo(DefaultPlatform(), nil, FunctionalConfig{}); err == nil {
 		t.Fatal("bad config should fail")
 	}
 }

@@ -7,8 +7,20 @@ import (
 	"time"
 
 	"burstlink/internal/soc"
+	"burstlink/internal/trace"
 	"burstlink/internal/units"
 )
+
+// timeIn returns the total duration tl spends in package state s.
+func timeIn(tl trace.Timeline, s soc.PackageCState) time.Duration {
+	var sum time.Duration
+	for _, p := range tl.Phases {
+		if p.State == s {
+			sum += p.Duration
+		}
+	}
+	return sum
+}
 
 func TestScenarioValidate(t *testing.T) {
 	good := Planar(units.FHD, 60, 30)
@@ -141,12 +153,12 @@ func TestConventional30FPSHasPSRWindow(t *testing.T) {
 	p := DefaultPlatform()
 	tl, _ := Conventional(p, Planar(units.FHD, 60, 30))
 	window := units.RefreshRate(60).Window()
-	if got := tl.TimeIn(soc.C8); got < window {
+	if got := timeIn(tl, soc.C8); got < window {
 		t.Fatalf("C8 time %v should include a full PSR window %v", got, window)
 	}
 	// 60 FPS has no PSR window: C8 only from drain slices.
 	tl60, _ := Conventional(p, Planar(units.FHD, 60, 60))
-	if tl60.TimeIn(soc.C8) >= window {
+	if timeIn(tl60, soc.C8) >= window {
 		t.Fatal("60FPS should not contain a full PSR window")
 	}
 }
@@ -156,7 +168,7 @@ func TestConventionalPSRDeep(t *testing.T) {
 	p.PSRDeep = true
 	tl, _ := Conventional(p, Planar(units.FHD, 60, 30))
 	window := units.RefreshRate(60).Window()
-	if got := tl.TimeIn(soc.C9); got != window {
+	if got := timeIn(tl, soc.C9); got != window {
 		t.Fatalf("PSRDeep C9 time = %v, want %v", got, window)
 	}
 }

@@ -8,7 +8,7 @@
 // Two simulators live here. The analytic scheduler (Conventional) computes
 // the steady-state timeline of one video period at any resolution and is
 // what the experiments and power model consume. The functional simulator
-// (RunFunctional) drives the real codec, DMA engines, eDP link, and panel
+// (RunFunctionalMemo) drives the real codec, DMA engines, eDP link, and panel
 // through the discrete-event engine at small resolutions to validate the
 // protocol end to end (tear-freedom, PSR sequencing, frame integrity).
 package pipeline
@@ -204,9 +204,6 @@ func (s Scenario) Period() time.Duration { return s.FPS.FrameInterval() }
 
 // FrameSize returns the decoded frame size.
 func (s Scenario) FrameSize() units.ByteSize { return s.Res.FrameSize(s.BPP) }
-
-// PixelRate returns the panel pixel-update rate for the scenario.
-func (s Scenario) PixelRate() units.DataRate { return s.Refresh.PixelRate(s.Res, s.BPP) }
 
 // DemandScale returns the scenario's IP throughput multiplier; the power
 // model also uses it to scale active-state power with DVFS (§5.2: "changes

@@ -11,6 +11,10 @@ import (
 )
 
 // within asserts got is within tol (fractional) of want.
+// UnitLoad is the FHD-30FPS anchor load the calibration and property
+// tests evaluate timelines under.
+var UnitLoad = Load{Demand: 1, PanelRatio: 1}
+
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if want == 0 {

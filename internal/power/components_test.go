@@ -78,3 +78,80 @@ func TestComponentEnergyHighlights(t *testing.T) {
 		t.Fatalf("panel ratio = %.3f, want ~1", ratio)
 	}
 }
+
+// ComponentEnergy below is the per-component energy split, the oracle
+// TestComponentEnergyConservation checks Evaluate against; no figure
+// reports energy per component.
+
+// ComponentEnergy attributes a timeline's energy to individual platform
+// components — the bottom-up view behind Fig 8's rail-level measurements.
+// Special keys extend the component set:
+//
+//   - soc.DRAMDev additionally carries the bandwidth-proportional
+//     operating energy;
+//   - soc.Panel carries the resolution scaling and the panel-side half of
+//     the burst premium;
+//   - soc.EDPHost carries the host-side half of the burst premium;
+//   - soc.Graphics carries the GPU projection premium;
+//   - transition energy is attributed to soc.Uncore (the PMU/fabric do
+//     the work of state changes).
+//
+// The attribution is exact: summing the map reproduces Evaluate's energy
+// (asserted by TestComponentEnergyConservation).
+func (m Model) ComponentEnergy(tl trace.Timeline, load Load) map[soc.Component]units.Energy {
+	out := make(map[soc.Component]units.Energy, len(m.Comp))
+	cfg := m.dramConfig()
+	for _, ph := range tl.Phases {
+		if ph.Duration <= 0 {
+			continue
+		}
+		sec := ph.Duration.Seconds()
+		factor := 0.0
+		boost := ph.Boost
+		if boost < 1 {
+			boost = 1
+		}
+		if eff := load.Demand * boost; eff > 1 && isActiveState(ph.State) {
+			factor = math.Pow(load.Demand, m.DVFSExp)*boost*boost - 1
+		}
+		for c, states := range m.Comp {
+			p := states[ph.State]
+			switch c {
+			case soc.Panel:
+				p = m.panelPower(ph.State, load)
+			default:
+				if factor > 0 && isActiveComponent(c) {
+					p += units.Power(float64(p) * factor)
+				}
+			}
+			out[c] += units.EnergyOver(p, ph.Duration)
+		}
+		read := units.BytesPerSecond(float64(ph.DRAMRead) / sec)
+		write := units.BytesPerSecond(float64(ph.DRAMWrite) / sec)
+		out[soc.DRAMDev] += units.EnergyOver(cfg.OperatingPower(read, write), ph.Duration)
+		if ph.EDPBurst {
+			out[soc.EDPHost] += units.EnergyOver(m.BurstExtra/2, ph.Duration)
+			out[soc.Panel] += units.EnergyOver(m.BurstExtra-m.BurstExtra/2, ph.Duration)
+		}
+		if ph.GPUActive {
+			g := float64(m.GPUExtra)
+			if load.Demand > 1 {
+				g *= math.Pow(load.Demand, m.DVFSExp)
+			}
+			out[soc.Graphics] += units.EnergyOver(units.Power(g), ph.Duration)
+		}
+	}
+	out[soc.Uncore] += m.transitionEnergy(tl)
+	return out
+}
+
+// isActiveComponent reports whether DVFS scaling applies to the
+// component.
+func isActiveComponent(c soc.Component) bool {
+	for _, a := range activeComponents {
+		if a == c {
+			return true
+		}
+	}
+	return false
+}

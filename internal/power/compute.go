@@ -21,9 +21,6 @@ type Load struct {
 	PanelRatio float64
 }
 
-// UnitLoad is the FHD-30FPS anchor load.
-var UnitLoad = Load{Demand: 1, PanelRatio: 1}
-
 // LoadOf derives the Load for a scenario on a platform.
 func LoadOf(p pipeline.Platform, s pipeline.Scenario) Load {
 	return Load{
@@ -97,7 +94,7 @@ type Result struct {
 }
 
 // Evaluate folds a timeline into average power and energy under the given
-// load (use UnitLoad for the FHD-30FPS anchor).
+// load.
 func (m Model) Evaluate(tl trace.Timeline, load Load) Result {
 	var energy units.Energy
 	for _, ph := range tl.Phases {

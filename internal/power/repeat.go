@@ -169,13 +169,6 @@ func (m Model) ExtendPeriod(pe PeriodEval, n int) Result {
 	}
 }
 
-// EvaluateRepeated evaluates a period timeline repeated n times —
-// bit-identical to Evaluate(tl.Repeat(n), load) without materializing
-// the n·k-phase slice or recomposing the model per phase.
-func (m Model) EvaluateRepeated(tl trace.Timeline, n int, load Load) Result {
-	return m.ExtendPeriod(m.EvaluatePeriod(tl, load), n)
-}
-
 // EvaluatePeriodMemo is EvaluatePeriod through the segment cache: the
 // evaluation is keyed by (timeline content, load, model), so any two
 // callers that price the same period share one computation. A nil or

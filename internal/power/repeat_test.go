@@ -58,7 +58,7 @@ func TestExtendPeriodSeams(t *testing.T) {
 	for _, tl := range []trace.Timeline{same, diff} {
 		for _, n := range []int{0, 1, 2, 3, 100} {
 			want := m.Evaluate(tl.Repeat(n), UnitLoad)
-			got := m.EvaluateRepeated(tl, n, UnitLoad)
+			got := m.ExtendPeriod(m.EvaluatePeriod(tl, UnitLoad), n)
 			if got != want {
 				t.Fatalf("n=%d: got %+v want %+v", n, got, want)
 			}

@@ -431,14 +431,6 @@ func TestClientAgainstServer(t *testing.T) {
 	if status != api.CacheMiss || res.Frames != 150 {
 		t.Fatalf("session = %+v, status %q", res, status)
 	}
-	ids, err := c.Experiments(ctx)
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("experiments: %v (%d)", err, len(ids))
-	}
-	raw, err := c.Experiment(ctx, ids[0])
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("experiment %s: %v", ids[0], err)
-	}
 	st, err := c.Stats(ctx)
 	if err != nil || st.Requests == 0 {
 		t.Fatalf("stats: %v %+v", err, st)

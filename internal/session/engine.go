@@ -33,11 +33,9 @@ type Engine struct {
 	Memo *memo.Cache
 }
 
-// bufferInput is the canonical input of the buffer-delivery segment.
-// It exists only for the steady default network (Network == nil in the
-// Config): a constant-bandwidth delivery is fully determined by these
-// six numbers, while a caller-supplied trace is opaque and bypasses the
-// cache.
+// bufferInput is the canonical input of the buffer-delivery segment:
+// frames arrive over a steady link at 1.5x the bitrate, and a
+// constant-bandwidth delivery is fully determined by these six numbers.
 type bufferInput struct {
 	// Bandwidth is the constant delivery rate.
 	Bandwidth units.DataRate
@@ -82,9 +80,7 @@ func (t timelineInput) AppendKey(w *memo.KeyWriter) {
 // jitterCapacity is the fixed jitter-buffer size sessions play through.
 const jitterCapacity = 64 * units.MB
 
-// bufferStats runs the buffer-delivery segment. The steady default
-// network goes through the segment cache; an explicit bandwidth trace is
-// opaque (not canonically keyable) and is simulated from scratch.
+// bufferStats runs the buffer-delivery segment through the segment cache.
 func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (stream.Stats, error) {
 	s := cfg.Scenario
 	prebuf := cfg.PrebufferFrames
@@ -92,13 +88,6 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 		prebuf = int(s.FPS)
 	}
 	netFrame := units.ByteSize(float64(bitrate) / 8 / float64(s.FPS))
-	run := func(network stream.BandwidthTrace) (stream.Stats, error) {
-		buf := stream.NewJitterBuffer(jitterCapacity)
-		return stream.SimulateStreaming(stream.NewSource(network), buf, netFrame, frames, s.FPS, prebuf)
-	}
-	if cfg.Network != nil {
-		return run(cfg.Network)
-	}
 	bw := units.DataRate(1.5 * float64(bitrate))
 	in := bufferInput{
 		Bandwidth: bw,
@@ -109,7 +98,8 @@ func (e Engine) bufferStats(cfg Config, bitrate units.DataRate, frames int) (str
 		Capacity:  jitterCapacity,
 	}
 	return memo.Do(e.Memo, "buffer", in, func() (stream.Stats, error) {
-		return run(stream.ConstantBandwidth(bw))
+		buf := stream.NewJitterBuffer(jitterCapacity)
+		return stream.SimulateStreaming(stream.NewSource(stream.ConstantBandwidth(bw)), buf, netFrame, frames, s.FPS, prebuf)
 	})
 }
 
@@ -121,9 +111,9 @@ func (e Engine) periodTimeline(sch Scheme, s pipeline.Scenario) (trace.Timeline,
 		func() (trace.Timeline, error) { return sch.scheduler()(e.P, s) })
 }
 
-// Run plays the session through the segment pipeline. It is the
-// memoized equivalent of the package-level Run: same validation, same
-// numbers, bit for bit.
+// Run plays the session through the segment pipeline. A nil Memo
+// computes every segment from scratch; cached or not, the numbers are
+// the same bit for bit.
 func (e Engine) Run(cfg Config) (Result, error) {
 	if err := cfg.Scenario.Validate(); err != nil {
 		return Result{}, err

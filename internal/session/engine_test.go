@@ -6,7 +6,6 @@ import (
 	"burstlink/internal/memo"
 	"burstlink/internal/pipeline"
 	"burstlink/internal/power"
-	"burstlink/internal/stream"
 	"burstlink/internal/units"
 )
 
@@ -124,29 +123,5 @@ func TestEngineSegmentSharing(t *testing.T) {
 	if st := eng.Memo.Stats(); st.Misses != miss0+2 || st.Hits != hits0+1 {
 		t.Fatalf("scheme change: misses +%d hits +%d, want +2/+1 (%+v)",
 			st.Misses-miss0, st.Hits-hits0, st)
-	}
-}
-
-// TestEngineCustomNetworkBypassesBufferCache: an explicit bandwidth
-// trace is opaque, so the buffer segment must not be cached under it —
-// two different traces with identical knobs must not alias.
-func TestEngineCustomNetworkBypassesBufferCache(t *testing.T) {
-	p, m := env()
-	s := pipeline.Planar(units.FHD, 60, 30)
-	good := stream.ConstantBandwidth(100 * units.Mbps)
-	bad := stream.ConstantBandwidth(1 * units.Mbps)
-	eng := Engine{P: p, M: m, Memo: memo.NewCache(64)}
-	cfg := Config{Scenario: s, Scheme: Conventional, Seconds: 5, Bitrate: 8 * units.Mbps, Network: good}
-	rGood, err := eng.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Network = bad
-	rBad, err := eng.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rBad.Stalls == rGood.Stalls {
-		t.Fatalf("starved network aliased the healthy buffer result: %d stalls", rBad.Stalls)
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // Play a ten-second FHD 30FPS streaming session under BurstLink and read
 // off the user-facing numbers.
-func ExampleRun() {
-	r, err := session.Run(pipeline.DefaultPlatform(), power.Default(), session.Config{
+func ExampleEngine_Run() {
+	eng := session.Engine{P: pipeline.DefaultPlatform(), M: power.Default()}
+	r, err := eng.Run(session.Config{
 		Scenario: pipeline.Planar(units.FHD, 60, 30),
 		Scheme:   session.BurstLink,
 		Seconds:  10,

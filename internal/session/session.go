@@ -82,9 +82,6 @@ type Config struct {
 	// Bitrate of the encoded stream; 0 derives it from the platform's
 	// encoded-frame model.
 	Bitrate units.DataRate
-	// Network is the bandwidth trace frames arrive over; nil means a
-	// steady link at 1.5x the bitrate.
-	Network stream.BandwidthTrace
 	// PrebufferFrames is the startup buffer depth (default: one second).
 	PrebufferFrames int
 	// Battery prices the session in battery life; zero value uses the
@@ -104,12 +101,6 @@ type Result struct {
 	BatteryLife time.Duration
 	// DRAMRead/DRAMWrite are per-second-of-playback traffic.
 	DRAMRead, DRAMWrite units.ByteSize
-}
-
-// Run plays the session from scratch (no segment cache). It is the
-// un-memoized form of Engine.Run and produces bit-identical results.
-func Run(p pipeline.Platform, m power.Model, cfg Config) (Result, error) {
-	return Engine{P: p, M: m}.Run(cfg)
 }
 
 // Compare runs the same session under every scheme and returns the

@@ -6,7 +6,6 @@ import (
 
 	"burstlink/internal/pipeline"
 	"burstlink/internal/power"
-	"burstlink/internal/stream"
 	"burstlink/internal/units"
 )
 
@@ -55,34 +54,37 @@ func TestSessionBaselineVsBurstLink(t *testing.T) {
 	}
 }
 
+// TestSessionStallsOnBadNetwork: a frame larger than the jitter buffer
+// can never be delivered whole, so a session whose bitrate makes every
+// frame overflow the buffer stalls on every frame, while an ordinary
+// bitrate on the same steady 1.5x link stalls on none.
 func TestSessionStallsOnBadNetwork(t *testing.T) {
 	p, m := env()
-	s := pipeline.Planar(units.FHD, 60, 30)
-	bitrate := units.DataRate(float64(p.EncodedFrameSize(s.Res).Bits()) * 30)
-	cfg := Config{
-		Scenario: s,
-		Scheme:   BurstLink,
-		Seconds:  10,
-		Bitrate:  bitrate,
-		// Starvation: network at 60% of the stream rate.
-		Network:         stream.ConstantBandwidth(units.DataRate(0.6 * float64(bitrate))),
-		PrebufferFrames: 2,
-	}
-	r, err := Run(p, m, cfg)
+	eng := Engine{P: p, M: m}
+	cfg := Config{Scenario: pipeline.Planar(units.FHD, 60, 30), Scheme: BurstLink, Seconds: 2}
+	cfg.Bitrate = 20 * units.Gbps // 83 MB frames against the 64 MB buffer
+	r, err := eng.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stalls == 0 {
-		t.Fatal("expected stalls on a starved network")
+	if r.Stalls != r.Frames {
+		t.Fatalf("stalls = %d of %d frames; every oversized frame should stall", r.Stalls, r.Frames)
+	}
+	cfg.Bitrate = 8 * units.Mbps
+	if r, err = eng.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if r.Stalls != 0 {
+		t.Fatalf("stalls = %d at 8 Mbit/s", r.Stalls)
 	}
 }
 
 func TestSessionValidation(t *testing.T) {
 	p, m := env()
-	if _, err := Run(p, m, Config{}); err == nil {
+	if _, err := (Engine{P: p, M: m}).Run(Config{}); err == nil {
 		t.Fatal("empty config should fail")
 	}
-	if _, err := Run(p, m, Config{Scenario: pipeline.Planar(units.FHD, 60, 30)}); err == nil {
+	if _, err := (Engine{P: p, M: m}).Run(Config{Scenario: pipeline.Planar(units.FHD, 60, 30)}); err == nil {
 		t.Fatal("zero duration should fail")
 	}
 }
@@ -97,7 +99,7 @@ func TestSessionVR(t *testing.T) {
 		Scheme:  BurstLink,
 		Seconds: 5,
 	}
-	r, err := Run(p, m, cfg)
+	r, err := Engine{P: p, M: m}.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 // Package sim provides a small discrete-event simulation engine: a virtual
-// clock and an event queue ordered by time. All hardware models in this
-// repository (DMA transfers, eDP bursts, panel scan-out, PMU state
+// clock and an event queue ordered by time. The functional simulators'
+// hardware models (DMA transfers, eDP bursts, panel scan-out, PMU state
 // transitions) advance on this clock rather than wall time, which makes
-// simulations deterministic and fast.
+// simulations deterministic and fast; they read Now and advance with
+// RunUntil. The event queue (Schedule, At, Cancel, Run, Pending,
+// EventsRun) serves the decoder reference model's vd.Config.Simulate.
 package sim
 
 import (

@@ -120,9 +120,6 @@ func (a *Agg) Append(row []Value) error {
 // Flush is a no-op: aggregates are always current.
 func (a *Agg) Flush() error { return nil }
 
-// Rows returns the appended row count.
-func (a *Agg) Rows() int64 { return a.rows }
-
 // HistSummary is the rendered fixed-range histogram: Counts[i] covers
 // [Lo + i·w, Lo + (i+1)·w) with w = (Hi-Lo)/len(Counts); Under and Over
 // count appends outside [Lo, Hi).

@@ -59,9 +59,6 @@ type Value struct {
 // Str wraps a string cell.
 func Str(s string) Value { return Value{S: s} }
 
-// IntV wraps an integer cell.
-func IntV(i int64) Value { return Value{I: i} }
-
 // FloatV wraps a float cell.
 func FloatV(f float64) Value { return Value{F: f} }
 
@@ -130,47 +127,3 @@ func (c *Columns) Rows() int { return c.rows }
 
 // StringAt returns the string cell at (column, row).
 func (c *Columns) StringAt(col, row int) string { return c.strs[col][row] }
-
-// IntAt returns the integer cell at (column, row).
-func (c *Columns) IntAt(col, row int) int64 { return c.ints[col][row] }
-
-// FloatAt returns the float cell at (column, row).
-func (c *Columns) FloatAt(col, row int) float64 { return c.floats[col][row] }
-
-// Floats returns the whole float column (aliased, do not mutate).
-func (c *Columns) Floats(col int) []float64 { return c.floats[col] }
-
-// Tee fans one row stream out to several sinks in order.
-type Tee struct {
-	Sinks []Sink
-}
-
-// Begin forwards the schema to every sink.
-func (t Tee) Begin(s Schema) error {
-	for _, snk := range t.Sinks {
-		if err := snk.Begin(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Append forwards the row to every sink.
-func (t Tee) Append(row []Value) error {
-	for _, snk := range t.Sinks {
-		if err := snk.Append(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush flushes every sink.
-func (t Tee) Flush() error {
-	for _, snk := range t.Sinks {
-		if err := snk.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -6,6 +6,57 @@ import (
 	"testing"
 )
 
+// The constructors and accessors below are test-only: the figures and
+// the fleet fold write float and string cells, read whole aggregates, and
+// feed one sink at a time.
+
+// IntV wraps an integer cell.
+func IntV(i int64) Value { return Value{I: i} }
+
+// IntAt returns the integer cell at (column, row).
+func (c *Columns) IntAt(col, row int) int64 { return c.ints[col][row] }
+
+// FloatAt returns the float cell at (column, row).
+func (c *Columns) FloatAt(col, row int) float64 { return c.floats[col][row] }
+
+// Tee fans one row stream out to several sinks in order.
+type Tee struct {
+	Sinks []Sink
+}
+
+// Begin forwards the schema to every sink.
+func (t Tee) Begin(s Schema) error {
+	for _, snk := range t.Sinks {
+		if err := snk.Begin(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Append forwards the row to every sink.
+func (t Tee) Append(row []Value) error {
+	for _, snk := range t.Sinks {
+		if err := snk.Append(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Flush flushes every sink.
+func (t Tee) Flush() error {
+	for _, snk := range t.Sinks {
+		if err := snk.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Rows returns the appended row count.
+func (a *Agg) Rows() int64 { return a.rows }
+
 func testSchema() Schema {
 	return Schema{
 		Name: "test",

@@ -40,20 +40,8 @@ func (c PackageCState) String() string {
 	return cstateNames[c]
 }
 
-// Valid reports whether c is a defined package C-state.
-func (c PackageCState) Valid() bool { return c >= C0 && c <= C10 }
-
 // DeeperThan reports whether c is a deeper (lower-power) state than o.
 func (c PackageCState) DeeperThan(o PackageCState) bool { return c > o }
-
-// DRAMSelfRefresh reports whether DRAM is in self-refresh in this package
-// state. Per Table 1, DRAM is active (CKE-High) only in C0 and C2.
-func (c PackageCState) DRAMSelfRefresh() bool { return c >= C3 }
-
-// All lists every defined package C-state in increasing depth.
-func All() []PackageCState {
-	return []PackageCState{C0, C2, C3, C6, C7, C7Prime, C8, C9, C10}
-}
 
 // Latency bundles the entry and exit latency of a package C-state. The
 // paper's power model charges P_en·Lat_en + P_ex·Lat_ex per transition

@@ -2,7 +2,6 @@ package soc
 
 import (
 	"testing"
-	"time"
 
 	"burstlink/internal/sim"
 )
@@ -23,6 +22,9 @@ func TestAllPowerGated(t *testing.T) {
 	}
 }
 
+// Valid reports whether c is a defined package C-state.
+func (c PackageCState) Valid() bool { return c >= C0 && c <= C10 }
+
 func TestPackageCStateValid(t *testing.T) {
 	for _, c := range All() {
 		if !c.Valid() {
@@ -38,42 +40,16 @@ func TestFirmwareNamesAndAccessors(t *testing.T) {
 	if (StockFirmware{}).Name() != "stock" {
 		t.Fatal("stock firmware name wrong")
 	}
-	if (GovernedFirmware{}).Name() != "governed-pcode" {
-		t.Fatal("governed firmware name wrong")
-	}
 	var eng sim.Engine
 	pmu := NewPMU(&eng, nil)
-	if pmu.Firmware().Name() != "stock" {
+	if pmu.fw.Name() != "stock" {
 		t.Fatal("PMU default firmware should be stock")
 	}
 	pmu.SetComponent(VideoDec, CompClockGated)
-	if pmu.Component(VideoDec) != CompClockGated {
+	if pmu.comps.Get(VideoDec) != CompClockGated {
 		t.Fatal("component accessor wrong")
 	}
-	if pmu.Component(WiFi) != CompActive {
+	if pmu.comps.Get(WiFi) != CompActive {
 		t.Fatal("unset component should default to active")
-	}
-}
-
-func TestGovernedFirmwareClampInPackage(t *testing.T) {
-	fw := GovernedFirmware{
-		ExpectedIdle: func() time.Duration { return time.Millisecond },
-		BreakEven: func(s PackageCState) time.Duration {
-			// A synthetic ladder: deeper states need 100 µs per depth.
-			return time.Duration(int(s)) * 100 * time.Microsecond
-		},
-	}
-	// 1 ms idle justifies everything up to C9 (break-even 700 µs) but a
-	// resolved C8 caps the walk.
-	if got := fw.Clamp(C9); got != C9 {
-		t.Fatalf("clamp(C9) = %v", got)
-	}
-	if got := fw.Clamp(C8); got != C8 {
-		t.Fatalf("clamp(C8) = %v", got)
-	}
-	// 150 µs idle only justifies C2-depth states.
-	fw.ExpectedIdle = func() time.Duration { return 150 * time.Microsecond }
-	if got := fw.Clamp(C9); got != C2 {
-		t.Fatalf("short-idle clamp = %v, want C2", got)
 	}
 }

@@ -55,8 +55,6 @@ type PMU struct {
 	state         PackageCState
 	listeners     []func(Transition)
 	compListeners []func(Component, CompState)
-
-	transitions int64
 }
 
 // NewPMU builds a PMU in C0 with all components active.
@@ -69,15 +67,6 @@ func NewPMU(eng *sim.Engine, fw Firmware) *PMU {
 
 // State returns the current package C-state.
 func (p *PMU) State() PackageCState { return p.state }
-
-// Firmware returns the installed firmware policy.
-func (p *PMU) Firmware() Firmware { return p.fw }
-
-// Transitions returns the number of package-state changes so far.
-func (p *PMU) Transitions() int64 { return p.transitions }
-
-// Component returns the recorded state of component c.
-func (p *PMU) Component(c Component) CompState { return p.comps.Get(c) }
 
 // Listen registers fn to be called on every package-state transition.
 func (p *PMU) Listen(fn func(Transition)) { p.listeners = append(p.listeners, fn) }
@@ -117,10 +106,6 @@ func (p *PMU) SetComponents(updates ComponentSet) {
 	p.reevaluate()
 }
 
-// Reevaluate forces a resolution pass; used when firmware-visible state
-// outside the component registry changed (e.g. the DC buffer drained).
-func (p *PMU) Reevaluate() { p.reevaluate() }
-
 func (p *PMU) reevaluate() {
 	next := p.fw.Clamp(Resolve(p.comps))
 	if next == p.state {
@@ -128,7 +113,6 @@ func (p *PMU) reevaluate() {
 	}
 	tr := Transition{At: p.eng.Now(), From: p.state, To: next}
 	p.state = next
-	p.transitions++
 	for _, fn := range p.listeners {
 		fn(tr)
 	}

@@ -52,14 +52,8 @@ func (t *ComponentTracker) accrue(c Component) {
 	t.since[c] = now
 }
 
-// TimeIn returns the accumulated time component c spent in state s (up
-// to the most recent change or Snapshot call).
-func (t *ComponentTracker) TimeIn(c Component, s CompState) time.Duration {
-	return t.acc[c][s]
-}
-
 // Snapshot accrues all components up to the engine's current time so
-// TimeIn reflects the present instant.
+// ActiveFraction reflects the present instant.
 func (t *ComponentTracker) Snapshot() {
 	for c := range t.current {
 		t.accrue(c)

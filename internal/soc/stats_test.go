@@ -20,10 +20,10 @@ func TestComponentTracker(t *testing.T) {
 	eng.RunUntil(12 * time.Millisecond)
 	tr.Snapshot()
 
-	if got := tr.TimeIn(VideoDec, CompActive); got != 6*time.Millisecond {
+	if got := tr.acc[VideoDec][CompActive]; got != 6*time.Millisecond {
 		t.Fatalf("active time = %v, want 6ms", got)
 	}
-	if got := tr.TimeIn(VideoDec, CompPowerGated); got != 6*time.Millisecond {
+	if got := tr.acc[VideoDec][CompPowerGated]; got != 6*time.Millisecond {
 		t.Fatalf("gated time = %v, want 6ms", got)
 	}
 	if f := tr.ActiveFraction(VideoDec); f < 0.49 || f > 0.51 {
@@ -50,7 +50,7 @@ func TestComponentTrackerEmpty(t *testing.T) {
 	if tr.ActiveFraction(Cores) != 0 {
 		t.Fatal("untracked component should report 0")
 	}
-	if tr.TimeIn(Panel, CompActive) != 0 {
+	if tr.acc[Panel][CompActive] != 0 {
 		t.Fatal("untracked time should be 0")
 	}
 }

@@ -13,7 +13,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"burstlink/internal/units"
@@ -25,33 +24,6 @@ type BandwidthTrace func(t time.Duration) units.DataRate
 // ConstantBandwidth returns a flat trace.
 func ConstantBandwidth(r units.DataRate) BandwidthTrace {
 	return func(time.Duration) units.DataRate { return r }
-}
-
-// FluctuatingBandwidth returns a trace oscillating around mean with the
-// given relative amplitude (0..1) and period — the LTE/WiFi throughput
-// sawtooth streaming stacks must ride out.
-func FluctuatingBandwidth(mean units.DataRate, amplitude float64, period time.Duration) BandwidthTrace {
-	if amplitude < 0 {
-		amplitude = 0
-	} else if amplitude > 1 {
-		amplitude = 1
-	}
-	return func(t time.Duration) units.DataRate {
-		phase := 2 * math.Pi * float64(t) / float64(period)
-		return units.DataRate(float64(mean) * (1 + amplitude*math.Sin(phase)))
-	}
-}
-
-// DropoutBandwidth wraps a trace with a periodic full outage of the given
-// duty (fraction of each period with zero bandwidth).
-func DropoutBandwidth(base BandwidthTrace, period time.Duration, duty float64) BandwidthTrace {
-	return func(t time.Duration) units.DataRate {
-		frac := float64(t%period) / float64(period)
-		if frac < duty {
-			return 0
-		}
-		return base(t)
-	}
 }
 
 // Source delivers encoded frames over the modeled network.
@@ -136,9 +108,6 @@ type Stats struct {
 func (b *JitterBuffer) Stats() Stats {
 	return Stats{Underruns: b.underruns, Overflows: b.overflows, Frames: b.frames, Peak: b.peak}
 }
-
-// Occupied returns the buffered byte count.
-func (b *JitterBuffer) Occupied() units.ByteSize { return b.occupied }
 
 // SimulateStreaming plays a stream of frameCount encoded frames of
 // frameSize each, arriving over src and consumed at the video frame rate

@@ -1,11 +1,43 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"burstlink/internal/units"
 )
+
+// The two bandwidth traces below are test fixtures: the service and the
+// figures stream over a constant-bandwidth network, and these tests ride
+// the jitter buffer through fluctuation and outages.
+
+// FluctuatingBandwidth returns a trace oscillating around mean with the
+// given relative amplitude (0..1) and period — the LTE/WiFi throughput
+// sawtooth streaming stacks must ride out.
+func FluctuatingBandwidth(mean units.DataRate, amplitude float64, period time.Duration) BandwidthTrace {
+	if amplitude < 0 {
+		amplitude = 0
+	} else if amplitude > 1 {
+		amplitude = 1
+	}
+	return func(t time.Duration) units.DataRate {
+		phase := 2 * math.Pi * float64(t) / float64(period)
+		return units.DataRate(float64(mean) * (1 + amplitude*math.Sin(phase)))
+	}
+}
+
+// DropoutBandwidth wraps a trace with a periodic full outage of the given
+// duty (fraction of each period with zero bandwidth).
+func DropoutBandwidth(base BandwidthTrace, period time.Duration, duty float64) BandwidthTrace {
+	return func(t time.Duration) units.DataRate {
+		frac := float64(t%period) / float64(period)
+		if frac < duty {
+			return 0
+		}
+		return base(t)
+	}
+}
 
 func TestConstantBandwidthDelivery(t *testing.T) {
 	src := NewSource(ConstantBandwidth(8 * units.Mbps))
@@ -84,7 +116,7 @@ func TestJitterBufferPushPop(t *testing.T) {
 	if b.Stats().Underruns != 1 {
 		t.Fatal("underrun not recorded")
 	}
-	if b.Occupied() != 0 {
+	if b.occupied != 0 {
 		t.Fatal("buffer should be empty")
 	}
 }

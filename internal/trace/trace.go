@@ -40,14 +40,6 @@ type Phase struct {
 	Label string
 }
 
-// DRAMBandwidth returns the average DRAM bandwidth during the phase.
-func (p Phase) DRAMBandwidth() units.DataRate {
-	if p.Duration <= 0 {
-		return 0
-	}
-	return units.BytesPerSecond(float64(p.DRAMRead+p.DRAMWrite) / p.Duration.Seconds())
-}
-
 // Timeline is an ordered sequence of phases.
 type Timeline struct {
 	Phases []Phase
@@ -98,28 +90,6 @@ func (t Timeline) Repeat(n int) Timeline {
 	return out
 }
 
-// Compact merges adjacent phases that share state, burst flag, and label,
-// summing durations and traffic. It returns the receiver for chaining.
-func (t *Timeline) Compact() *Timeline {
-	if len(t.Phases) < 2 {
-		return t
-	}
-	out := t.Phases[:1]
-	for _, p := range t.Phases[1:] {
-		last := &out[len(out)-1]
-		if p.State == last.State && p.EDPBurst == last.EDPBurst &&
-			p.GPUActive == last.GPUActive && p.Label == last.Label {
-			last.Duration += p.Duration
-			last.DRAMRead += p.DRAMRead
-			last.DRAMWrite += p.DRAMWrite
-			continue
-		}
-		out = append(out, p)
-	}
-	t.Phases = out
-	return t
-}
-
 // Residency returns the fraction of total time spent in each package
 // C-state that appears in the timeline. Fractions sum to 1 (for a
 // non-empty timeline).
@@ -133,17 +103,6 @@ func (t Timeline) Residency() map[soc.PackageCState]float64 {
 		out[p.State] += float64(p.Duration) / float64(total)
 	}
 	return out
-}
-
-// TimeIn returns the total duration spent in state s.
-func (t Timeline) TimeIn(s soc.PackageCState) time.Duration {
-	var sum time.Duration
-	for _, p := range t.Phases {
-		if p.State == s {
-			sum += p.Duration
-		}
-	}
-	return sum
 }
 
 // Entries counts how many times each state is entered (transitions into

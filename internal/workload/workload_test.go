@@ -7,9 +7,21 @@ import (
 	"burstlink/internal/pipeline"
 	"burstlink/internal/power"
 	"burstlink/internal/soc"
+	"burstlink/internal/trace"
 	"burstlink/internal/units"
 	"burstlink/internal/vr"
 )
+
+// timeIn returns the total duration tl spends in package state s.
+func timeIn(tl trace.Timeline, s soc.PackageCState) time.Duration {
+	var sum time.Duration
+	for _, p := range tl.Phases {
+		if p.State == s {
+			sum += p.Duration
+		}
+	}
+	return sum
+}
 
 func TestVRScenarioConstruction(t *testing.T) {
 	s, err := VRScenario(vr.Rhino, units.VR1080)
@@ -70,7 +82,7 @@ func TestUIWorkloadTimelines(t *testing.T) {
 				t.Errorf("%s %v: spans differ: %v vs %v", w.Name, res, conv.Total(), burst.Total())
 			}
 			// Bursting reaches C9; conventional caps at C8.
-			if burst.TimeIn(soc.C9) == 0 {
+			if timeIn(burst, soc.C9) == 0 {
 				t.Errorf("%s %v: burst never reached C9", w.Name, res)
 			}
 			if conv.DeepestState() != soc.C8 {
@@ -107,6 +119,24 @@ func TestUIWorkloadValidation(t *testing.T) {
 	if _, err := UIBurst(p, bad, units.FHD, 60); err == nil {
 		t.Fatal("zero active fraction should fail")
 	}
+}
+
+// MixedSequence builds Fig 4's scenario: a stretch of web browsing
+// followed by FHD 60FPS video streaming, both on a 60 Hz panel. It
+// returns the two segment timelines scaled to the given durations.
+func MixedSequence(p pipeline.Platform, browse, stream time.Duration) (trace.Timeline, error) {
+	browseTl, err := UIConventional(p, WebBrowsing(), units.FHD, 60)
+	if err != nil {
+		return trace.Timeline{}, err
+	}
+	video, err := pipeline.Conventional(p, pipeline.Planar(units.FHD, 60, 60))
+	if err != nil {
+		return trace.Timeline{}, err
+	}
+	var out trace.Timeline
+	out.Append(browseTl.Repeat(int(browse / browseTl.Total())))
+	out.Append(video.Repeat(int(stream / video.Total())))
+	return out, nil
 }
 
 func TestMixedSequence(t *testing.T) {
