@@ -234,7 +234,7 @@ func sessionCmd(args []string) error {
 	p := pipeline.DefaultPlatform()
 	m := power.Default()
 	cfg := session.Config{Scenario: pipeline.Planar(res, 60, units.FPS(*fps)), Seconds: *secs}
-	results, err := session.Compare(p, m, cfg)
+	results, err := session.Engine{P: p, M: m}.Compare(cfg)
 	if err != nil {
 		return err
 	}

@@ -14,9 +14,6 @@ import (
 //  3. Grant the DC the maximum eDP bandwidth when Frame Bursting is
 //     active.
 type Firmware struct {
-	// BypassEnabled reports whether the destination selector currently
-	// routes decoded frames to the DC.
-	BypassEnabled func() bool
 	// FrameInDRFB reports whether the displayed frame resides fully in
 	// the panel's DRFB (so no host component is needed until the next
 	// frame).

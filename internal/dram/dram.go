@@ -1,38 +1,15 @@
-// Package dram models the platform's main memory: its power states
-// (self-refresh, CKE-Low fast power-down, CKE-High active), the split of
-// power into background and bandwidth-proportional operating components
-// exactly as the paper's model does (§5.2), sustained-bandwidth transfer
-// timing, and a frame-buffer allocator used by the display pipeline.
+// Package dram models the platform's main memory: the
+// bandwidth-proportional operating power of the paper's model (§5.2),
+// sustained-bandwidth transfer timing, and a frame-buffer allocator used
+// by the display pipeline. DRAM background power is a per-C-state
+// component of the power model (internal/power), not a device state.
 package dram
 
 import (
-	"fmt"
 	"time"
 
 	"burstlink/internal/units"
 )
-
-// PowerState is a DRAM device power state (§5.2). In the evaluated
-// platform the DRAM state is correlated with the package C-state: CKE-High
-// in C0/C2 and self-refresh in C3 and deeper (Table 1).
-type PowerState int
-
-// DRAM power states, deep to shallow.
-const (
-	SelfRefresh PowerState = iota // clock stopped, device refreshes itself
-	_                             // CKE-Low fast power-down, quick re-activation
-	CKEHigh                       // active or active-idle
-)
-
-var powerStateNames = [...]string{"self-refresh", "CKE-low", "CKE-high"}
-
-// String returns the state name.
-func (s PowerState) String() string {
-	if s < 0 || int(s) >= len(powerStateNames) {
-		return fmt.Sprintf("PowerState(%d)", int(s))
-	}
-	return powerStateNames[s]
-}
 
 // Config describes a DRAM subsystem. Defaults model the baseline system's
 // LPDDR3-1866 dual-channel 8 GB configuration (Table 3).
@@ -41,11 +18,6 @@ type Config struct {
 	// SustainedBandwidth is the achievable (not theoretical-peak)
 	// bandwidth for streaming transfers.
 	SustainedBandwidth units.DataRate
-
-	// Background power per state, independent of traffic.
-	SelfRefreshPower units.Power
-	CKELowPower      units.Power
-	CKEHighPower     units.Power
 
 	// Operating power per unit bandwidth: the paper extrapolates mW per
 	// 1 GB/s of reads and of writes from a memory benchmark sweep (§5.2).
@@ -61,9 +33,6 @@ func DefaultLPDDR3() Config {
 	return Config{
 		Capacity:           8 * units.GiB,
 		SustainedBandwidth: units.GBps(14.9), // ~50% of 29.8 GB/s peak
-		SelfRefreshPower:   45 * units.MilliWatt,
-		CKELowPower:        140 * units.MilliWatt,
-		CKEHighPower:       520 * units.MilliWatt,
 		ReadPowerPerGBps:   110 * units.MilliWatt,
 		WritePowerPerGBps:  125 * units.MilliWatt,
 	}
@@ -79,31 +48,19 @@ func (c Config) OperatingPower(read, write units.DataRate) units.Power {
 
 // Device is a DRAM subsystem instance with traffic accounting.
 type Device struct {
-	cfg   Config
-	state PowerState
-
+	cfg           Config
 	reads, writes units.ByteSize
-	inState       map[PowerState]time.Duration
-	lastChange    time.Duration
 	alloc         allocator
 }
 
-// NewDevice builds a device in CKE-High.
+// NewDevice builds a device with nothing allocated.
 func NewDevice(cfg Config) *Device {
-	return &Device{
-		cfg:     cfg,
-		state:   CKEHigh,
-		inState: make(map[PowerState]time.Duration),
-		alloc:   allocator{capacity: cfg.Capacity},
-	}
+	return &Device{cfg: cfg, alloc: allocator{capacity: cfg.Capacity}}
 }
 
 // Read accounts n bytes of read traffic and returns the transfer duration
-// at sustained bandwidth. Reading while in self-refresh panics: the model
-// requires the memory controller to wake the device first, and a violation
-// is a pipeline-scheduling bug.
+// at sustained bandwidth.
 func (d *Device) Read(n units.ByteSize) time.Duration {
-	d.requireAwake("read")
 	d.reads += n
 	return d.cfg.SustainedBandwidth.TimeFor(n)
 }
@@ -111,15 +68,8 @@ func (d *Device) Read(n units.ByteSize) time.Duration {
 // Write accounts n bytes of write traffic and returns the transfer
 // duration at sustained bandwidth.
 func (d *Device) Write(n units.ByteSize) time.Duration {
-	d.requireAwake("write")
 	d.writes += n
 	return d.cfg.SustainedBandwidth.TimeFor(n)
-}
-
-func (d *Device) requireAwake(op string) {
-	if d.state == SelfRefresh {
-		panic("dram: " + op + " while in self-refresh")
-	}
 }
 
 // Traffic returns cumulative read and write byte counts.

@@ -10,41 +10,8 @@ import (
 	"burstlink/internal/units"
 )
 
-// The power-state machine and accessors below are test-only: no
-// simulator changes a DRAM device's power state or frees a buffer (the
-// power model derives DRAM power from the package C-state), so only these
-// tests drive them.
-
-// CKELow is the fast power-down state, quick re-activation.
-const CKELow PowerState = 1
-
-// BackgroundPower returns the traffic-independent power in state s.
-func (c Config) BackgroundPower(s PowerState) units.Power {
-	switch s {
-	case SelfRefresh:
-		return c.SelfRefreshPower
-	case CKELow:
-		return c.CKELowPower
-	default:
-		return c.CKEHighPower
-	}
-}
-
-// State returns the current power state.
-func (d *Device) State() PowerState { return d.state }
-
-// SetState transitions the device at virtual time now, accruing time spent
-// in the previous state.
-func (d *Device) SetState(s PowerState, now time.Duration) {
-	if now > d.lastChange {
-		d.inState[d.state] += now - d.lastChange
-		d.lastChange = now
-	}
-	d.state = s
-}
-
-// TimeIn returns accumulated time in state s (up to the last SetState).
-func (d *Device) TimeIn(s PowerState) time.Duration { return d.inState[s] }
+// The accessors below are test-only: no simulator frees a buffer or
+// resets a device, so only these tests drive them.
 
 // ResetTraffic zeroes the traffic counters (between experiment runs).
 func (d *Device) ResetTraffic() { d.reads, d.writes = 0, 0 }
@@ -75,23 +42,6 @@ func TestDefaultConfigSanity(t *testing.T) {
 	cfg := DefaultLPDDR3()
 	if cfg.Capacity != 8*units.GiB {
 		t.Fatalf("capacity = %v, want 8 GiB (Table 3)", cfg.Capacity)
-	}
-	// Background power must increase with shallower states.
-	if !(cfg.SelfRefreshPower < cfg.CKELowPower && cfg.CKELowPower < cfg.CKEHighPower) {
-		t.Fatal("background power not monotone in state depth")
-	}
-}
-
-func TestBackgroundPower(t *testing.T) {
-	cfg := DefaultLPDDR3()
-	if cfg.BackgroundPower(SelfRefresh) != cfg.SelfRefreshPower {
-		t.Fatal("self-refresh background wrong")
-	}
-	if cfg.BackgroundPower(CKELow) != cfg.CKELowPower {
-		t.Fatal("CKE-low background wrong")
-	}
-	if cfg.BackgroundPower(CKEHigh) != cfg.CKEHighPower {
-		t.Fatal("CKE-high background wrong")
 	}
 }
 
@@ -137,30 +87,6 @@ func TestReadWriteAccounting(t *testing.T) {
 	r, w = d.Traffic()
 	if r != 0 || w != 0 {
 		t.Fatal("reset did not clear traffic")
-	}
-}
-
-func TestAccessInSelfRefreshPanics(t *testing.T) {
-	d := NewDevice(DefaultLPDDR3())
-	d.SetState(SelfRefresh, time.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("read in self-refresh should panic")
-		}
-	}()
-	d.Read(units.KB)
-}
-
-func TestStateTimeAccrual(t *testing.T) {
-	d := NewDevice(DefaultLPDDR3())
-	d.SetState(SelfRefresh, 10*time.Millisecond) // 10ms in CKEHigh
-	d.SetState(CKEHigh, 25*time.Millisecond)     // 15ms in SR
-	d.SetState(CKEHigh, 30*time.Millisecond)     // 5ms more in CKEHigh
-	if got := d.TimeIn(CKEHigh); got != 15*time.Millisecond {
-		t.Fatalf("TimeIn(CKEHigh) = %v, want 15ms", got)
-	}
-	if got := d.TimeIn(SelfRefresh); got != 15*time.Millisecond {
-		t.Fatalf("TimeIn(SelfRefresh) = %v, want 15ms", got)
 	}
 }
 
@@ -233,14 +159,5 @@ func TestDoubleBufferAllocFailure(t *testing.T) {
 	d := NewDevice(Config{Capacity: units.FHD.FrameSize(24)}) // room for one only
 	if _, err := NewDoubleBuffer(d, "video", units.FHD.FrameSize(24)); err == nil {
 		t.Fatal("expected allocation failure for second buffer")
-	}
-}
-
-func TestPowerStateString(t *testing.T) {
-	if SelfRefresh.String() != "self-refresh" || CKEHigh.String() != "CKE-high" {
-		t.Fatal("state names wrong")
-	}
-	if PowerState(9).String() != "PowerState(9)" {
-		t.Fatal("out-of-range name wrong")
 	}
 }

@@ -8,9 +8,6 @@ import "burstlink/internal/memo"
 func (c Config) AppendKey(w *memo.KeyWriter) {
 	w.Uint("capacity", uint64(c.Capacity))
 	w.Float("bw", float64(c.SustainedBandwidth))
-	w.Float("selfrefresh", float64(c.SelfRefreshPower))
-	w.Float("ckelow", float64(c.CKELowPower))
-	w.Float("ckehigh", float64(c.CKEHighPower))
 	w.Float("readgbps", float64(c.ReadPowerPerGBps))
 	w.Float("writegbps", float64(c.WritePowerPerGBps))
 }

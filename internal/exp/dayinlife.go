@@ -6,7 +6,6 @@ import (
 	"burstlink/internal/core"
 	"burstlink/internal/pipeline"
 	"burstlink/internal/power"
-	"burstlink/internal/sink"
 	"burstlink/internal/trace"
 	"burstlink/internal/units"
 	"burstlink/internal/workload"
@@ -61,19 +60,13 @@ func DayInLife() (Table, error) {
 		{"4K 60FPS streaming", 1, k4Base, k4BL},
 	}
 
-	// The driver streams typed rows through the sink layer; the TableSink
-	// formats them into the printable table. A caller wanting aggregates
-	// as well would tee the same stream into a sink.Agg.
-	t := Table{ID: "dayinlife", Title: "A 9-hour usage day, baseline vs BurstLink"}
-	snk := &TableSink{T: &t}
-	if err := snk.Begin(sink.Schema{Name: t.ID, Cols: []sink.Column{
-		{Name: "Segment", Kind: sink.String},
-		{Name: "Hours", Kind: sink.Float, Unit: UnitHours},
-		{Name: "Baseline", Kind: sink.Float, Unit: UnitMW},
-		{Name: "BurstLink", Kind: sink.Float, Unit: UnitMW},
-		{Name: "Saving", Kind: sink.Float, Unit: UnitFrac},
-	}}); err != nil {
-		return t, err
+	t := Table{
+		ID:     "dayinlife",
+		Title:  "A 9-hour usage day, baseline vs BurstLink",
+		Header: []string{"Segment", "Hours", "Baseline", "BurstLink", "Saving"},
+	}
+	row := func(name string, hours, base, bl float64) []string {
+		return []string{name, fmt.Sprintf("%.0f", hours), mw(base), mw(bl), pct(1 - bl/base)}
 	}
 	var eBase, eBL float64 // mWh
 	var totalHours float64
@@ -91,23 +84,12 @@ func DayInLife() (Table, error) {
 		eBase += pb * seg.hours
 		eBL += pl * seg.hours
 		totalHours += seg.hours
-		if err := snk.Append([]sink.Value{
-			sink.Str(seg.name), sink.FloatV(seg.hours), sink.FloatV(pb), sink.FloatV(pl), sink.FloatV(1 - pl/pb),
-		}); err != nil {
-			return t, err
-		}
+		t.Rows = append(t.Rows, row(seg.name, seg.hours, pb, pl))
 	}
 	bat := workload.SurfaceProBattery()
 	avgBase := units.Power(eBase / totalHours)
 	avgBL := units.Power(eBL / totalHours)
-	if err := snk.Append([]sink.Value{
-		sink.Str("whole day"), sink.FloatV(totalHours), sink.FloatV(float64(avgBase)), sink.FloatV(float64(avgBL)), sink.FloatV(1 - float64(avgBL)/float64(avgBase)),
-	}); err != nil {
-		return t, err
-	}
-	if err := snk.Flush(); err != nil {
-		return t, err
-	}
+	t.Rows = append(t.Rows, row("whole day", totalHours, float64(avgBase), float64(avgBL)))
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"battery at this mix: %s baseline vs %s with BurstLink",
 		workload.LifeString(bat.Life(avgBase)), workload.LifeString(bat.Life(avgBL))))

@@ -3,8 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
-
-	"burstlink/internal/sink"
+	"fmt"
 )
 
 // jsonTable is the machine-readable form of a Table.
@@ -18,20 +17,29 @@ type jsonTable struct {
 
 // JSON renders the table as indented JSON with rows keyed by column name,
 // so downstream tooling (plots, dashboards) can consume experiment
-// results without screen-scraping the text tables. The table replays
-// through the columnar sink layer: Stream feeds a sink.Columns store and
-// the JSON rows read back column-wise, the same path any other sink
-// consumer of a table takes.
+// results without screen-scraping the text tables. Every row carries
+// every column of the widest row: a cell beyond the header is keyed
+// colN (N its zero-based column), and a missing cell is "".
 func (t Table) JSON() ([]byte, error) {
-	var cols sink.Columns
-	if err := t.Stream(&cols); err != nil {
-		return nil, err
+	width := len(t.Header)
+	for _, cells := range t.Rows {
+		width = max(width, len(cells))
+	}
+	names := make([]string, width)
+	for i := range names {
+		names[i] = fmt.Sprintf("col%d", i)
+		if i < len(t.Header) {
+			names[i] = t.Header[i]
+		}
 	}
 	jt := jsonTable{ID: t.ID, Title: t.Title, Header: t.Header, Notes: t.Notes}
-	for r := 0; r < cols.Rows(); r++ {
-		m := make(map[string]string, len(cols.Schema.Cols))
-		for c, col := range cols.Schema.Cols {
-			m[col.Name] = cols.StringAt(c, r)
+	for _, cells := range t.Rows {
+		m := make(map[string]string, width)
+		for i, name := range names {
+			m[name] = ""
+			if i < len(cells) {
+				m[name] = cells[i]
+			}
 		}
 		jt.Rows = append(jt.Rows, m)
 	}

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"sort"
+	"go/types"
 )
 
 // AliasCheck enforces the cache-integrity invariant the delta
@@ -37,18 +37,12 @@ var AliasCheck = &Analyzer{
 
 func runAliasCheck(pass *Pass) {
 	sums := valueFlowSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkAliasFunc(pass, sums, fn)
-		}
+	for _, fn := range funcDecls(pass.Files) {
+		checkAliasFunc(pass, sums, fn)
 	}
 }
 
-func checkAliasFunc(pass *Pass, sums *valueSummaries, fn *ast.FuncDecl) {
+func checkAliasFunc(pass *Pass, sums map[*types.Func]valueFact, fn *ast.FuncDecl) {
 	fl := newFlowState(pass.TypesInfo, slotObjects(pass.TypesInfo, fn), sums)
 	fl.solve(fn.Body)
 
@@ -65,22 +59,16 @@ func checkAliasFunc(pass *Pass, sums *valueSummaries, fn *ast.FuncDecl) {
 			return true
 		}
 
-		// Hit side, one call level deep: a hit-derived argument in a
-		// slot the callee's summary marks as written-through.
+		// Hit side, through a call: a hit-derived argument in a slot the
+		// callee's summary marks as written-through.
 		if callee := StaticCallee(pass.TypesInfo, call); callee != nil {
-			if mut := sums.mutates[callee]; len(mut) > 0 {
-				slots := make([]int, 0, len(mut))
-				for s := range mut {
-					slots = append(slots, s)
-				}
-				sort.Ints(slots)
-			slotLoop:
-				for _, slot := range slots {
-					for _, arg := range argsForSlot(pass.TypesInfo, call, callee, slot) {
-						if o := fl.exprOrigins(arg); o.hasHits() {
-							pass.Reportf(call.Pos(), "%s writes through its parameter, and this argument aliases memory obtained from %s — pass a defensive copy", callee.Name(), fl.hitDesc(o))
-							break slotLoop
-						}
+			mut := sums[callee].mutates
+		slotLoop:
+			for _, slot := range sortedSlots(mut) {
+				for _, arg := range argsForSlot(pass.TypesInfo, call, callee, slot) {
+					if o := fl.exprOrigins(arg); o.hasHits() {
+						pass.Reportf(call.Pos(), "%s writes through its parameter, and this argument aliases memory obtained from %s — pass a defensive copy", viaName(callee, mut[slot]), fl.hitDesc(o))
+						break slotLoop
 					}
 				}
 			}

@@ -6,14 +6,15 @@ import (
 )
 
 // Program is the module-wide view one RunAnalyzers call shares across
-// every (package, analyzer) pass: the call graph, memoized CFGs, and a
-// per-analyzer cache for function summaries. It is what lets gatecheck,
-// lockcheck, and detflow see one call level past the function they are
-// reporting in.
+// every (package, analyzer) pass: the call graph and its components,
+// memoized CFGs, and a per-analyzer cache for function summaries (see
+// summarize). It is what lets the interprocedural analyzers see past
+// the function they are reporting in, any number of calls deep.
 type Program struct {
 	Pkgs []*Package
 
 	graph *CallGraph
+	sccs  [][]*CallNode
 	cfgs  map[*ast.BlockStmt]*CFG
 	cache map[string]any
 	// lockEdges collects every package's acquisition-order edges for
@@ -60,25 +61,27 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.graph
 }
 
-// CallGraph maps every function declared in the analyzed packages to its
-// static call sites. Soundness limits, by construction: only direct
-// calls are resolved (calls through function values, fields, and
-// interface methods without a syntactic receiver type are missing), and
-// a call inside a func literal is attributed to the enclosing declared
-// function. The analyzers that consume the graph document both limits.
+// CallGraph maps every function with a body declared in the analyzed
+// packages to its static call sites. Soundness limits, by construction:
+// only direct calls are resolved (calls through function values,
+// fields, and interface methods without a syntactic receiver type are
+// missing), and a call inside a func literal is attributed to the
+// enclosing declared function. The analyzers that consume the graph
+// document both limits.
 type CallGraph struct {
 	Nodes map[*types.Func]*CallNode
+	// order lists the nodes package by package, in source order.
+	order []*CallNode
 }
 
-// CallNode is one declared function or method.
+// CallNode is one declared function or method with a body. Callees
+// lists its resolved call sites in source order; summarize walks them
+// callee first.
 type CallNode struct {
-	Fn   *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *Package
-	// Callees and Callers are read by no analyzer yet; they are kept
-	// for the transitive call-graph summaries planned in ROADMAP.md.
+	Fn      *types.Func
+	Decl    *ast.FuncDecl
+	Pkg     *Package
 	Callees []*CallSite
-	Callers []*CallSite
 }
 
 // CallSite is one resolved call expression.
@@ -89,65 +92,48 @@ type CallSite struct {
 }
 
 // NodeOf returns the graph node for fn, or nil when fn was not declared
-// in the analyzed packages (stdlib, interface methods).
+// with a body in the analyzed packages (stdlib, interface methods).
 func (g *CallGraph) NodeOf(fn *types.Func) *CallNode {
 	return g.Nodes[fn]
 }
 
-// BuildCallGraph constructs the graph over the given packages.
+// BuildCallGraph constructs the graph over the given packages: a node
+// per function with a body, then each node's resolved call sites.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{Nodes: make(map[*types.Func]*CallNode)}
-	// First pass: a node per declared function.
 	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
+		for _, fd := range funcDecls(pkg.Files) {
+			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 				g.Nodes[fn] = &CallNode{Fn: fn, Decl: fd, Pkg: pkg}
+				g.order = append(g.order, g.Nodes[fn])
 			}
 		}
 	}
-	// Second pass: resolve call sites.
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+	for _, caller := range g.order {
+		ast.Inspect(caller.Decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if target := g.Nodes[StaticCallee(caller.Pkg.Info, call)]; target != nil {
+					caller.Callees = append(caller.Callees, &CallSite{Caller: caller, Callee: target, Call: call})
 				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				caller := g.Nodes[fn]
-				if caller == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := StaticCallee(pkg.Info, call)
-					if callee == nil {
-						return true
-					}
-					target := g.Nodes[callee]
-					if target == nil {
-						return true
-					}
-					site := &CallSite{Caller: caller, Callee: target, Call: call}
-					caller.Callees = append(caller.Callees, site)
-					target.Callers = append(target.Callers, site)
-					return true
-				})
 			}
-		}
+			return true
+		})
 	}
 	return g
+}
+
+// funcDecls lists the function declarations with a body in files, in
+// source order.
+func funcDecls(files []*ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
 }
 
 // StaticCallee resolves the *types.Func a call statically dispatches to:

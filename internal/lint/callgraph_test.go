@@ -39,15 +39,6 @@ func TestCallGraphEdges(t *testing.T) {
 	if !callsHelper {
 		t.Error("edge okHelperRelease -> releaseGate missing")
 	}
-	calledBack := false
-	for _, site := range helper.Callers {
-		if site.Caller == caller {
-			calledBack = true
-		}
-	}
-	if !calledBack {
-		t.Error("reverse edge releaseGate <- okHelperRelease missing")
-	}
 }
 
 // TestCallGraphMethodEdges checks method-call resolution through

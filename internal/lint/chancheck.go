@@ -37,16 +37,10 @@ var ChanCheck = &Analyzer{
 }
 
 func runChanCheck(pass *Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				checkChanBody(pass, body)
-			})
-		}
+	for _, fd := range funcDecls(pass.Files) {
+		forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
+			checkChanBody(pass, body)
+		})
 	}
 }
 

@@ -45,17 +45,11 @@ var CtxCheck = &Analyzer{
 }
 
 func runCtxCheck(pass *Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if !funcHasCtxParam(pass, fd.Type) {
-				continue
-			}
-			checkCtxBody(pass, fd.Body)
+	for _, fd := range funcDecls(pass.Files) {
+		if !funcHasCtxParam(pass, fd.Type) {
+			continue
 		}
+		checkCtxBody(pass, fd.Body)
 	}
 }
 

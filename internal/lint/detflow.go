@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // DetFlow generalizes determcheck across function boundaries: it tracks
@@ -16,19 +17,17 @@ import (
 // different bytes.
 //
 // Sources: `xs = append(xs, ...)` / `s += ...` inside a map range, and
-// (one call level deep through the call graph) the results of module
-// functions summarized as returning map-ordered data. Cleansing: a
-// sort.* / slices.Sort* call on the value. Sinks, where findings are
+// the results of module functions summarized as returning map-ordered
+// data, however many helpers forward it. Cleansing: a sort.* /
+// slices.Sort* call on the value. Sinks, where findings are
 // reported: float accumulation over a range of the tainted slice, and
 // tainted values passed to json.Marshal/MarshalIndent, an
 // (*json.Encoder).Encode, or fmt.Fprint*.
 //
-// Soundness limits: summaries are one level deep (a tainted return
-// forwarded through a second helper is lost), taint is tracked per
-// local variable (not through struct fields or slices of slices), and
-// cleansing is flow-insensitive within a function — a sort anywhere
-// clears the variable, on the theory that sorting the wrong copy is a
-// bug shape we have never seen.
+// Soundness limits: taint is tracked per local variable (not through
+// struct fields or slices of slices), and cleansing is flow-insensitive
+// within a function — a sort anywhere clears the variable, on the
+// theory that sorting the wrong copy is a bug shape we have never seen.
 var DetFlow = &Analyzer{
 	Name: "detflow",
 	Doc:  "track map-iteration order through the call graph into float accumulators and wire-visible output",
@@ -40,18 +39,12 @@ var DetFlow = &Analyzer{
 
 func runDetFlow(pass *Pass) {
 	summaries := detflowSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			tainted := taintedLocals(pass, fd.Body, summaries)
-			if len(tainted) == 0 {
-				continue
-			}
-			reportTaintSinks(pass, fd.Body, tainted)
+	for _, fd := range funcDecls(pass.Files) {
+		tainted := taintedLocals(pass, fd.Body, summaries)
+		if len(tainted) == 0 {
+			continue
 		}
+		reportTaintSinks(pass, fd.Body, tainted)
 	}
 }
 
@@ -99,7 +92,7 @@ func taintedLocals(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]bo
 	})
 
 	// Seed B: results of helpers summarized as returning map-ordered
-	// data — the one-level interprocedural hop.
+	// data — the interprocedural hop.
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
@@ -264,43 +257,34 @@ func objectOf(pass *Pass, id *ast.Ident) types.Object {
 	return pass.TypesInfo.Defs[id]
 }
 
-// detflowSummaries marks, once per Program, the module functions that
-// return map-ordered data: a function whose own (intra-procedural,
-// pre-cleansing) tainted set reaches a return statement. Summaries are
-// seeded without other summaries, which is what bounds the analysis to
-// one interprocedural level.
+// detflowSummaries marks the module functions that return map-ordered
+// data: a function that returns one of its tainted locals, or returns
+// the result of a call to a marked function.
 func detflowSummaries(pass *Pass) map[*types.Func]bool {
-	v := pass.Prog.Cache("detflow.returns", func() any {
-		out := make(map[*types.Func]bool)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			p := &Pass{TypesInfo: node.Pkg.Info}
-			tainted := taintedLocals(p, node.Decl.Body, nil)
-			if len(tainted) == 0 {
-				continue
-			}
-			returns := false
-			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-				ret, ok := n.(*ast.ReturnStmt)
-				if !ok {
-					return true
-				}
-				for _, res := range ret.Results {
-					if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-						if obj := objectOf(p, id); obj != nil && tainted[obj] {
-							returns = true
-						}
-					}
-				}
-				return true
-			})
-			if returns {
-				out[node.Fn] = true
-			}
+	return summarize(pass, "detflow.returns", func(n *CallNode, facts map[*types.Func]bool) (bool, bool) {
+		p := &Pass{TypesInfo: n.Pkg.Info}
+		tainted := taintedLocals(p, n.Decl.Body, facts)
+		if len(tainted) == 0 && !slices.ContainsFunc(n.Callees, func(s *CallSite) bool { return facts[s.Callee.Fn] }) {
+			return false, false
 		}
-		return out
-	})
-	return v.(map[*types.Func]bool)
+		returns := false
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			ret, ok := m.(*ast.ReturnStmt)
+			if !ok {
+				return !returns
+			}
+			for _, res := range ret.Results {
+				switch r := ast.Unparen(res).(type) {
+				case *ast.Ident:
+					obj := objectOf(p, r)
+					returns = returns || obj != nil && tainted[obj]
+				case *ast.CallExpr:
+					callee := StaticCallee(p.TypesInfo, r)
+					returns = returns || callee != nil && facts[callee]
+				}
+			}
+			return !returns
+		})
+		return returns, returns
+	}, equalFacts[bool])
 }

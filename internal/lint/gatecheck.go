@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -23,10 +24,11 @@ import (
 //	if g.TryAcquire() { ... }            // true edge holds, false doesn't
 //	if err := g.Acquire(ctx); err != nil // nil-error edge holds
 //
-// Interprocedural reach is one call level deep and release-side only: a
-// call to a module function whose body unconditionally calls
-// g.Release() counts as a release of g (receiver expressions are
-// matched textually, so the helper must name the gate the same way).
+// Interprocedural reach is release-side only: a call to a module
+// function whose body calls g.Release(), itself or through its callees
+// any number of calls down, counts as a release of g (receiver
+// expressions are matched textually, so the helper must name the gate
+// the same way).
 // Acquire results returned to the caller transfer ownership and are the
 // caller's to release.
 var GateCheck = &Analyzer{
@@ -152,16 +154,10 @@ func joinGateState(a, b gateState) gateState {
 
 func runGateCheck(pass *Pass) {
 	summaries := gateReleaseSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				checkGateBody(pass, body, summaries)
-			})
-		}
+	for _, fd := range funcDecls(pass.Files) {
+		forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
+			checkGateBody(pass, body, summaries)
+		})
 	}
 }
 
@@ -196,7 +192,7 @@ func bodyMentionsGate(pass *Pass, body *ast.BlockStmt) bool {
 }
 
 func checkGateBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func][]string) {
-	if !bodyMentionsGate(pass, body) && !callsReleasingHelper(pass, body, summaries) {
+	if !bodyMentionsGate(pass, body) {
 		return
 	}
 	cfg := pass.Prog.CFG(body)
@@ -331,12 +327,12 @@ func acquireState(prev gateState, pos token.Pos) gateState {
 }
 
 // gateCallEffect applies a call statement's effect: releases (direct or
-// via a one-level helper) clear the hold; a bare acquire whose result is
+// via a summarized helper) clear the hold; a bare acquire whose result is
 // discarded counts as held, because the slot may be taken with nothing
 // tracking it.
 func gateCallEffect(pass *Pass, f gateFact, e ast.Expr, deferred bool, summaries map[*types.Func][]string) gateFact {
 	call, gate, method := gateCallIn(pass, e)
-	if call != nil {
+	if gate != "" {
 		out := f.clone()
 		switch method {
 		case "Release":
@@ -355,8 +351,8 @@ func gateCallEffect(pass *Pass, f gateFact, e ast.Expr, deferred bool, summaries
 		}
 		return out
 	}
-	// One level interprocedural: a module function that unconditionally
-	// releases a gate named the same way.
+	// A module function whose summary releases a gate named the same
+	// way.
 	if c, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		if callee := StaticCallee(pass.TypesInfo, c); callee != nil {
 			if keys := summaries[callee]; len(keys) > 0 {
@@ -461,60 +457,42 @@ func refineGate(f gateFact, gate string, bind token.Pos, held bool) gateFact {
 	return out
 }
 
-// callsReleasingHelper reports whether body calls any function with a
-// release summary — such a body still needs analysis even without a
-// direct Gate mention.
-func callsReleasingHelper(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func][]string) bool {
-	if len(summaries) == 0 {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if callee := StaticCallee(pass.TypesInfo, call); callee != nil && len(summaries[callee]) > 0 {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// gateReleaseSummaries computes, once per Program, the set of gate keys
-// each module function unconditionally releases (a g.Release() or defer
-// g.Release() as a top-level-reachable statement anywhere in its body —
-// an over-approximation on the release side only, which can hide a leak
-// behind a conditional helper but never invents one).
+// gateReleaseSummaries records the gate keys each module function
+// releases: a g.Release() or defer g.Release() statement anywhere in
+// its body, or such a call statement to a function whose summary
+// releases (its own releases first). It over-approximates on the
+// release side only, so a conditional helper can hide a leak but never
+// invent one.
 func gateReleaseSummaries(pass *Pass) map[*types.Func][]string {
-	v := pass.Prog.Cache("gatecheck.releases", func() any {
-		out := make(map[*types.Func][]string)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			p := &Pass{TypesInfo: node.Pkg.Info}
-			var keys []string
-			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-				var e ast.Expr
-				switch n := n.(type) {
-				case *ast.ExprStmt:
-					e = n.X
-				case *ast.DeferStmt:
-					e = n.Call
-				default:
-					return true
-				}
-				if call, gate, method := gateCallIn(p, e); call != nil && method == "Release" {
-					keys = append(keys, gate)
-				}
+	return summarize(pass, "gatecheck.releases", func(n *CallNode, facts map[*types.Func][]string) ([]string, bool) {
+		p := &Pass{TypesInfo: n.Pkg.Info}
+		var own, inherited []string
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			var e ast.Expr
+			switch m := m.(type) {
+			case *ast.ExprStmt:
+				e = m.X
+			case *ast.DeferStmt:
+				e = m.Call
+			default:
 				return true
-			})
-			if len(keys) > 0 {
-				out[node.Fn] = keys
+			}
+			if _, gate, method := gateCallIn(p, e); gate != "" {
+				if method == "Release" && !slices.Contains(own, gate) {
+					own = append(own, gate)
+				}
+			} else if c, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+				if callee := StaticCallee(p.TypesInfo, c); callee != nil {
+					inherited = append(inherited, facts[callee]...)
+				}
+			}
+			return true
+		})
+		for _, k := range inherited {
+			if !slices.Contains(own, k) {
+				own = append(own, k)
 			}
 		}
-		return out
-	})
-	return v.(map[*types.Func][]string)
+		return own, len(own) > 0
+	}, slices.Equal[[]string])
 }

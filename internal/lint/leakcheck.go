@@ -54,26 +54,20 @@ var LeakCheck = &Analyzer{
 func runLeakCheck(pass *Pass) {
 	closed := closedChanObjs(pass)
 	reported := make(map[token.Pos]bool)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			env := &leakEnv{
-				caps:   chanMakeCaps(pass, fd.Body),
-				params: paramObjs(pass, fd.Type),
-				closed: closed,
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				checkGoroutine(pass, g, env, reported)
-				return true
-			})
+	for _, fd := range funcDecls(pass.Files) {
+		env := &leakEnv{
+			caps:   chanMakeCaps(pass, fd.Body),
+			params: paramObjs(pass, fd.Type),
+			closed: closed,
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			checkGoroutine(pass, g, env, reported)
+			return true
+		})
 	}
 }
 

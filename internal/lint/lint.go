@@ -4,62 +4,38 @@
 // command's export data, no external modules) carrying the domain
 // analyzers the BurstLink simulator needs to stay trustworthy:
 //
-//   - determcheck: the simulator must be a pure function of its inputs.
-//     Wall-clock reads, the global math/rand source, and float
-//     accumulation in map-iteration order all silently break the
-//     bit-reproducible phase timelines the power model is validated on.
-//   - unitcheck: quantities must flow as dimensioned types (units.Power,
-//     units.ByteSize, time.Duration, ...) rather than bare float64/int,
-//     and additive arithmetic must not mix dimensions.
-//   - parcheck: all parallelism goes through internal/par, so panics
-//     propagate and SetWorkers(1) degrades every kernel to a serial loop.
-//   - poolcheck: sync.Pool.Get must be paired with a Put or hand the
-//     buffer to the caller; a leaked Get silently disables reuse.
-//   - errdrop: discarded error returns in simulator code hide broken
-//     bitstreams and truncated traces.
-//   - memokeycheck: delta-simulation AppendKey methods must write every
-//     receiver field into the canonical segment key, or the segment
-//     cache silently serves stale results for inputs that differ only in
-//     the forgotten field.
+//   - determcheck: no wall-clock reads, global math/rand, or float
+//     accumulation in map order — the phase timelines the power model
+//     is validated on must be bit-reproducible.
+//   - unitcheck: quantities flow as dimensioned types (units.Power,
+//     time.Duration, ...), and additive arithmetic never mixes them.
+//   - parcheck: all parallelism goes through internal/par.
+//   - poolcheck: every sync.Pool.Get is paired with a Put or a handoff.
+//   - errdrop: no discarded error returns in simulator code.
+//   - memokeycheck: AppendKey writes every receiver field into the
+//     segment key, or the cache serves stale results.
 //
-// The interprocedural layer (CFG builder, static call graph, forward
-// dataflow framework — see cfg.go, callgraph.go, dataflow.go) carries
-// four more analyzers:
+// The interprocedural layer — CFGs, a static call graph, forward
+// dataflow, and one engine that summarizes every module function for
+// its callers, callee first to a fixpoint (cfg.go, callgraph.go,
+// dataflow.go, summary.go) — carries the rest, each seeing effects any
+// number of calls deep:
 //
-//   - gatecheck: every par.Gate slot acquired must be released on all
-//     CFG paths, error returns and panics included.
-//   - ctxcheck: ctx-receiving service functions must propagate their
-//     context and observe Done/Err in unbounded loops.
-//   - lockcheck: no channel op, network call, or Gate.Acquire while a
-//     sync.Mutex/RWMutex is held (one call level deep).
-//   - detflow: map-iteration order must not reach float accumulators or
-//     wire-visible output, even through one helper-function hop.
-//
-// The value-flow layer (valueflow.go — per-function alias-origin
-// analysis with interprocedural mutation/alias/borrow summaries) adds
-// the cache-integrity pair:
-//
-//   - aliascheck: memory obtained from a cache hit is shared and
-//     immutable; values inserted into a cache must not alias
-//     caller-owned buffers.
-//   - purecheck: memoized compute functions must be pure — no
-//     clock/rand/os, no mutable package state, no caller-visible
-//     writes — to one summarized call level.
-//
-// The concurrency-soundness layer (lockorder.go, leakcheck.go,
-// chancheck.go) guards the liveness properties the race detector cannot
-// see:
-//
-//   - lockorder: a module-wide mutex acquisition-order graph (edges
-//     recorded when one lock is taken while another is held, one call
-//     level deep) whose cycles, self-loops included, are potential
-//     deadlocks.
-//   - leakcheck: goroutines spawned in the service packages must not be
-//     able to block forever on a channel op or Gate.Acquire without a
-//     ctx.Done()/close-signal escape, and wg.Done must be reached on
-//     every goroutine path.
-//   - chancheck: channel discipline — no send on a possibly-closed
-//     channel, no double close, no close by a pure receiver.
+//   - gatecheck: every par.Gate slot is released on all CFG paths.
+//   - ctxcheck: service functions propagate their context and observe
+//     Done/Err in unbounded loops.
+//   - lockcheck: nothing blocks while a sync.Mutex/RWMutex is held.
+//   - detflow: map-iteration order never reaches float accumulators or
+//     wire-visible output.
+//   - aliascheck and purecheck (valueflow.go): cached values are owned
+//     at insertion and immutable after every hit, and memoized compute
+//     functions are pure.
+//   - lockorder: the module-wide lock acquisition-order graph has no
+//     cycles (potential deadlocks).
+//   - leakcheck: service goroutines cannot block forever, and reach
+//     wg.Done on every path.
+//   - chancheck: no send on a possibly-closed channel, no double close,
+//     no close by a pure receiver.
 //
 // Findings support //lint:ignore <analyzer> <reason> suppressions on the
 // finding's line or the line above it.

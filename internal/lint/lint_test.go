@@ -2,6 +2,10 @@ package lint
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -92,6 +96,59 @@ func checkFixture(t *testing.T, name string, analyzers []*Analyzer) {
 	}
 }
 
+// TestEveryFixtureRuns fails when a directory under testdata/src holds
+// a `// want "…"` line that no test in this package loads by name
+// through checkFixture or loadFixture: its expectations would never be
+// checked.
+func TestEveryFixtureRuns(t *testing.T) {
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, name := range tests {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			if fun, ok := call.Fun.(*ast.Ident); !ok || fun.Name != "checkFixture" && fun.Name != "loadFixture" {
+				return true
+			}
+			if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				dir, _ := strconv.Unquote(lit.Value)
+				loaded[dir] = true
+			}
+			return true
+		})
+	}
+	root := filepath.Join("testdata", "src")
+	wantLine := regexp.MustCompile(`//\s*want\s+"`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil || !wantLine.Match(src) {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if dir := filepath.ToSlash(rel); err == nil && !loaded[dir] {
+			t.Errorf("fixture %s has // want lines but no test loads it; add it to a checkFixture call", dir)
+			loaded[dir] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDetermCheckFixture(t *testing.T) {
 	checkFixture(t, "determfix", []*Analyzer{DetermCheck})
 }
@@ -152,17 +209,18 @@ func TestMemoKeyCheckFixture(t *testing.T) {
 }
 
 // TestAliasCheckFixture drives the value-flow layer end to end: direct
-// hit mutation, mutation through a borrow summary and a mutation
-// summary, insertions aliasing caller memory, and the defensive-copy
-// idioms that must stay clean.
+// hit mutation, mutation through borrow and mutation summaries one to
+// three calls deep and through recursion, insertions aliasing caller
+// memory, and the defensive-copy and fresh-reader idioms that must stay
+// clean.
 func TestAliasCheckFixture(t *testing.T) {
 	checkFixture(t, "aliasfix", []*Analyzer{AliasCheck})
 }
 
 // TestPureCheckFixture pins purecheck's impurity families: clock/rand/
-// os (directly and via a one-level callee summary), mutable package
-// state, caller-visible writes, and root extension through once-bound
-// local literals.
+// os (directly and through callee summaries one to three calls deep and
+// through recursion), mutable package state, caller-visible writes, and
+// root extension through once-bound local literals.
 func TestPureCheckFixture(t *testing.T) {
 	checkFixture(t, "purefix", []*Analyzer{PureCheck})
 }
@@ -177,9 +235,9 @@ func TestFleetFixFixture(t *testing.T) {
 // TestLockOrderFixture drives the acquisition-order graph end to end:
 // consistent nesting and disjoint critical sections stay clean; a
 // reversed pair is reported at both inner acquisition sites, directly
-// and through a one-call-level helper; re-acquiring a held mutex is the
-// one-node cycle, and hand-over-hand locking of two instances of one type
-// is reported with its own message.
+// and through helpers one to three calls deep and through recursion;
+// re-acquiring a held mutex is the one-node cycle, and hand-over-hand
+// locking of two instances of one type is reported with its own message.
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorderfix", []*Analyzer{LockOrder})
 	checkFixture(t, "handoverfix", []*Analyzer{LockOrder})

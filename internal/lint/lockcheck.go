@@ -19,15 +19,14 @@ import (
 // mutexes definitely held (join = intersection, so conditional locking
 // never over-reports). defer mu.Unlock() does NOT end the critical
 // section — the lock stays held to function exit, which is the point of
-// the idiom and of the check. Interprocedural reach is one call level
-// deep: calling a module function whose own body directly contains a
-// blocking operation is flagged too.
+// the idiom and of the check. Calling a module function that can block
+// — its own body blocks, or it calls one that does, any number of calls
+// down — is flagged too.
 //
 // Soundness limits: receivers are matched textually (mu in a helper is
-// not this mu), dynamic calls are invisible, operations inside a
+// not this mu), dynamic calls are invisible, and operations inside a
 // select with a default clause are non-blocking by construction and
-// exempt, and only direct callee bodies are summarized (depth one, no
-// transitive closure).
+// exempt.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "forbid channel ops, net/http calls, Gate.Acquire, and other blocking calls while a sync.Mutex/RWMutex is held",
@@ -66,20 +65,14 @@ func lockFactJoin(a, b any) any {
 
 func runLockCheck(pass *Pass) {
 	summaries := blockingSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				checkLockBody(pass, body, summaries)
-			})
-		}
+	for _, fd := range funcDecls(pass.Files) {
+		forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
+			checkLockBody(pass, body, summaries)
+		})
 	}
 }
 
-func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]string) {
+func checkLockBody(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]blockFact) {
 	if !bodyMentionsMutex(pass, body) {
 		return
 	}
@@ -217,7 +210,7 @@ func nonBlockingComms(body *ast.BlockStmt) map[ast.Node]bool {
 
 // reportBlockingOps scans one CFG node for operations that can block,
 // reporting each against the currently held mutexes.
-func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*types.Func]string, nonBlocking map[ast.Node]bool, caps map[types.Object]int64, reported map[token.Pos]bool) {
+func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*types.Func]blockFact, nonBlocking map[ast.Node]bool, caps map[types.Object]int64, reported map[token.Pos]bool) {
 	report := func(pos token.Pos, what string) {
 		if reported[pos] {
 			return
@@ -260,19 +253,23 @@ func reportBlockingOps(pass *Pass, n ast.Node, held lockFact, summaries map[*typ
 				}
 			}
 		case *ast.CallExpr:
-			if what := blockingCall(pass, m, summaries); what != "" {
+			if what := blockingOp(pass, m); what != "" {
 				report(m.Pos(), what)
+			} else if callee := StaticCallee(pass.TypesInfo, m); callee != nil {
+				if f, ok := summaries[callee]; ok {
+					report(m.Pos(), "call to "+viaName(callee, f.by)+" (its body "+f.what+")")
+				}
 			}
 		}
 		return true
 	})
 }
 
-// blockingCall classifies a call as blocking: Gate.Acquire, time.Sleep,
-// WaitGroup.Wait, anything from net or net/http, or (one level deep) a
-// module function whose body blocks. Re-acquiring a held mutex is
-// lockorder's one-node cycle.
-func blockingCall(pass *Pass, call *ast.CallExpr, summaries map[*types.Func]string) string {
+// blockingOp classifies a call that blocks by itself: Gate.Acquire,
+// time.Sleep, WaitGroup.Wait, anything from net or net/http. A module
+// function that blocks is blockingSummaries' business. Re-acquiring a
+// held mutex is lockorder's one-node cycle.
+func blockingOp(pass *Pass, call *ast.CallExpr) string {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if gate, method := gateMethod(pass, sel); gate != "" && method == "Acquire" {
 			return "Gate.Acquire (blocks for an admission slot)"
@@ -301,58 +298,71 @@ func blockingCall(pass *Pass, call *ast.CallExpr, summaries map[*types.Func]stri
 			}
 		}
 	}
-	if callee := StaticCallee(pass.TypesInfo, call); callee != nil {
-		if what, ok := summaries[callee]; ok {
-			return "call to " + callee.Name() + " (its body " + what + ")"
-		}
-	}
 	return ""
 }
 
-// blockingSummaries computes, once per Program, whether each module
-// function's own body directly contains a blocking operation — the one
-// call level the interprocedural check reaches.
-func blockingSummaries(pass *Pass) map[*types.Func]string {
-	v := pass.Prog.Cache("lockcheck.blocking", func() any {
-		out := make(map[*types.Func]string)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
+// blockFact is lockcheck's summary of a function that can block: what
+// blocks, and the function whose own body does it.
+type blockFact struct {
+	what string
+	by   *types.Func
+}
+
+// blockingSummaries records which module functions can block: the first
+// blocking operation in a body or, failing that, the first call to a
+// function that can. Calls inside func literals and the comms of a
+// select with a default clause do not count.
+func blockingSummaries(pass *Pass) map[*types.Func]blockFact {
+	return summarize(pass, "lockcheck.blocking", func(n *CallNode, facts map[*types.Func]blockFact) (blockFact, bool) {
+		p := &Pass{TypesInfo: n.Pkg.Info}
+		nonBlocking := nonBlockingComms(n.Decl.Body)
+		what := ""
+		var lits []*ast.FuncLit
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			if lit, ok := m.(*ast.FuncLit); ok {
+				lits = append(lits, lit)
+				return false
 			}
-			p := &Pass{TypesInfo: node.Pkg.Info}
-			nonBlocking := nonBlockingComms(node.Decl.Body)
-			what := ""
-			ast.Inspect(node.Decl.Body, func(m ast.Node) bool {
-				if what != "" {
-					return false
-				}
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
-				if nonBlocking[m] {
-					return true
-				}
-				switch m := m.(type) {
-				case *ast.SendStmt:
-					what = "sends on a channel"
-				case *ast.UnaryExpr:
-					if m.Op == token.ARROW {
-						what = "receives from a channel"
-					}
-				case *ast.CallExpr:
-					if w := blockingCall(p, m, nil); w != "" {
-						what = "calls " + w
-					}
-				}
-				return what == ""
-			})
 			if what != "" {
-				out[node.Fn] = what
+				return false
+			}
+			if nonBlocking[m] {
+				return true
+			}
+			switch m := m.(type) {
+			case *ast.SendStmt:
+				what = "sends on a channel"
+			case *ast.UnaryExpr:
+				if m.Op == token.ARROW {
+					what = "receives from a channel"
+				}
+			case *ast.CallExpr:
+				if w := blockingOp(p, m); w != "" {
+					what = "calls " + w
+				}
+			}
+			return what == ""
+		})
+		if what != "" {
+			return blockFact{what, n.Fn}, true
+		}
+		for _, site := range n.Callees {
+			if f, ok := facts[site.Callee.Fn]; ok && !nonBlocking[site.Call] && !inFuncLit(lits, site.Call) {
+				return f, true
 			}
 		}
-		return out
-	})
-	return v.(map[*types.Func]string)
+		return blockFact{}, false
+	}, equalFacts[blockFact])
+}
+
+// inFuncLit reports whether call sits inside one of lits.
+func inFuncLit(lits []*ast.FuncLit, call *ast.CallExpr) bool {
+	for _, lit := range lits {
+		if lit.Pos() <= call.Pos() && call.End() <= lit.End() {
+			return true
+		}
+	}
+	return false
 }
 
 // bodyMentionsMutex is the cheap pre-filter for lockcheck.

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,8 +13,8 @@ import (
 // LockOrder builds the module-wide mutex acquisition-order graph and
 // reports its cycles as potential deadlocks. Every time a
 // sync.Mutex/RWMutex is acquired while another is held — directly, or
-// one call level away through a module function whose body acquires —
-// an edge held→acquired is recorded. Two functions that take the same
+// through a module function that acquires it, any number of calls down
+// — an edge held→acquired is recorded. Two functions that take the same
 // pair of locks in opposite orders never crash a test: each is correct
 // in isolation, and only a particular interleaving of two goroutines
 // deadlocks. The cycle in the static graph is the one artifact that
@@ -37,8 +38,7 @@ import (
 // strongly connected component, at the inner acquisition site.
 //
 // Soundness limits: local mutexes are keyed per enclosing function and
-// cannot form cross-function cycles; dynamic calls are invisible; the
-// interprocedural reach is one call level (no transitive closure).
+// cannot form cross-function cycles, and dynamic calls are invisible.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "build the module-wide lock acquisition-order graph and report cycles (potential deadlocks)",
@@ -47,7 +47,7 @@ var LockOrder = &Analyzer{
 
 // lockEdge is one acquisition-order fact: To was acquired at Pos while
 // From was held (acquired at FromPos). Via names the called helper when
-// the inner acquisition is one call level away. FromRecv and ToRecv are
+// the inner acquisition happens inside a call. FromRecv and ToRecv are
 // set on a self-edge whose two receiver expressions differ.
 type lockEdge struct {
 	From     string
@@ -61,17 +61,11 @@ type lockEdge struct {
 
 func runLockOrder(pass *Pass) {
 	summaries := lockAcquireSummaries(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
-				pass.Prog.lockEdges = append(pass.Prog.lockEdges, lockOrderEdges(pass, name, body, summaries)...)
-			})
-		}
+	for _, fd := range funcDecls(pass.Files) {
+		name := fd.Name.Name
+		forEachFuncBody(fd.Body, func(body *ast.BlockStmt) {
+			pass.Prog.lockEdges = append(pass.Prog.lockEdges, lockOrderEdges(pass, name, body, summaries)...)
+		})
 	}
 }
 
@@ -105,7 +99,7 @@ func lockOrderKey(pass *Pass, recv ast.Expr, fnName string) string {
 
 // lockOrderEdges runs the held-set dataflow over one body and returns
 // every acquisition-order edge it induces.
-func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries map[*types.Func][]string) []lockEdge {
+func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries map[*types.Func][]lockAcquire) []lockEdge {
 	if !bodyMentionsMutex(pass, body) {
 		return nil // no direct acquire here, so the held set stays empty
 	}
@@ -174,8 +168,12 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 			if callee == nil {
 				return true
 			}
-			for _, to := range summaries[callee] {
-				add(held, to, call.Pos(), callee.Name())
+			for _, a := range summaries[callee] {
+				via := callee.Name()
+				if a.by != callee {
+					via += ", which takes it in " + a.by.Name()
+				}
+				add(held, a.key, call.Pos(), via)
 			}
 			return true
 		})
@@ -183,75 +181,78 @@ func lockOrderEdges(pass *Pass, fnName string, body *ast.BlockStmt, summaries ma
 	return edges
 }
 
-// lockAcquireSummaries computes, once per Program, the global keys of
-// every mutex each module function's own body directly acquires — the
-// one call level the edge recorder reaches past the reporting function.
-func lockAcquireSummaries(pass *Pass) map[*types.Func][]string {
-	v := pass.Prog.Cache("lockorder.acquires", func() any {
-		out := make(map[*types.Func][]string)
-		for _, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
+// lockAcquire is one mutex a function acquires: its global key, and the
+// function whose own body takes it.
+type lockAcquire struct {
+	key string
+	by  *types.Func
+}
+
+// lockAcquireSummaries records, sorted by key, every mutex each module
+// function acquires: the ones its body takes, plus those of every
+// function it calls outside a func literal. A key the body takes itself
+// is attributed to the body.
+func lockAcquireSummaries(pass *Pass) map[*types.Func][]lockAcquire {
+	return summarize(pass, "lockorder.acquires", func(n *CallNode, facts map[*types.Func][]lockAcquire) ([]lockAcquire, bool) {
+		p := &Pass{TypesInfo: n.Pkg.Info, Pkg: n.Pkg.Types, PkgPath: n.Pkg.PkgPath}
+		key := func(recv ast.Expr) string { return lockOrderKey(p, recv, n.Decl.Name.Name) }
+		seen := make(map[string]bool)
+		var own []lockAcquire
+		var lits []*ast.FuncLit
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			if lit, ok := m.(*ast.FuncLit); ok {
+				lits = append(lits, lit)
+				return false
 			}
-			p := &Pass{TypesInfo: node.Pkg.Info, Pkg: node.Pkg.Types, PkgPath: node.Pkg.PkgPath}
-			name := node.Decl.Name.Name
-			key := func(recv ast.Expr) string { return lockOrderKey(p, recv, name) }
-			seen := make(map[string]bool)
-			var keys []string
-			ast.Inspect(node.Decl.Body, func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
+			if k, method, ok := mutexOp(p, m, key); ok && (method == "Lock" || method == "RLock") && !seen[k] {
+				seen[k] = true
+				own = append(own, lockAcquire{k, n.Fn})
+			}
+			return true
+		})
+		for _, site := range n.Callees {
+			for _, a := range facts[site.Callee.Fn] {
+				if !seen[a.key] && !inFuncLit(lits, site.Call) {
+					seen[a.key] = true
+					own = append(own, a)
 				}
-				if k, method, ok := mutexOp(p, m, key); ok && (method == "Lock" || method == "RLock") && !seen[k] {
-					seen[k] = true
-					keys = append(keys, k)
-				}
-				return true
-			})
-			if len(keys) > 0 {
-				sort.Strings(keys)
-				out[node.Fn] = keys
 			}
 		}
-		return out
-	})
-	return v.(map[*types.Func][]string)
+		sort.Slice(own, func(i, j int) bool { return own[i].key < own[j].key })
+		return own, len(own) > 0
+	}, slices.Equal[[]lockAcquire])
 }
 
 // lockOrderCycles detects cycles in the acquisition-order graph spanned
 // by edges and returns one finding per participating edge, reported at
 // the inner acquisition site.
 func lockOrderCycles(edges []lockEdge) []Finding {
-	scc := lockSCC(edges)
-	cyclic := make(map[int]bool)
-	count := make(map[int]int)
-	for _, id := range scc {
-		count[id]++
-	}
-	for id, n := range count {
-		if n > 1 {
-			cyclic[id] = true
-		}
-	}
+	// A component is cyclic when it holds two locks or more, or one
+	// lock with a self-edge.
+	adj := make(map[string][]string)
+	var nodes []string
 	for _, e := range edges {
-		if e.From == e.To {
-			cyclic[scc[e.From]] = true
+		nodes = append(nodes, e.From, e.To)
+		adj[e.From] = append(adj[e.From], e.To)
+	}
+	comps := stronglyConnected(nodes, func(n string) []string { return adj[n] })
+	scc := make(map[string]int)
+	for id, comp := range comps {
+		sort.Strings(comp)
+		for _, n := range comp {
+			scc[n] = id
 		}
 	}
-	members := make(map[int][]string)
-	for node, id := range scc {
-		if cyclic[id] {
-			members[id] = append(members[id], node)
-		}
-	}
-	for _, m := range members {
-		sort.Strings(m)
+	cyclic := make(map[int]bool)
+	for _, e := range edges {
+		id := scc[e.From]
+		cyclic[id] = cyclic[id] || e.From == e.To || len(comps[id]) > 1
 	}
 	var findings []Finding
 	seen := make(map[string]bool)
 	for _, e := range edges {
-		id, ok := scc[e.From]
-		if !ok || !cyclic[id] || scc[e.To] != id {
+		id := scc[e.From]
+		if !cyclic[id] || scc[e.To] != id {
 			continue
 		}
 		k := e.From + "\x00" + e.To + "\x00" + e.Pos.Filename + "\x00" + fmt.Sprint(e.Pos.Line, e.Pos.Column)
@@ -270,7 +271,7 @@ func lockOrderCycles(edges []lockEdge) []Finding {
 		} else if e.From == e.To {
 			msg = fmt.Sprintf("lock order cycle: %s acquired while already held (self-deadlock); the goroutine blocks on itself", how)
 		} else {
-			cycle := append([]string(nil), members[id]...)
+			cycle := slices.Clone(comps[id])
 			for i, c := range cycle {
 				cycle[i] = shortLockName(c)
 			}
@@ -290,90 +291,4 @@ func shortLockName(key string) string {
 		return key[i+1:]
 	}
 	return key
-}
-
-// lockSCC assigns each graph node a strongly-connected-component id
-// (iterative Tarjan, nodes visited in sorted order for determinism).
-func lockSCC(edges []lockEdge) map[string]int {
-	adj := make(map[string][]string)
-	nodes := make(map[string]bool)
-	edgeSeen := make(map[string]bool)
-	for _, e := range edges {
-		nodes[e.From], nodes[e.To] = true, true
-		k := e.From + "\x00" + e.To
-		if !edgeSeen[k] {
-			edgeSeen[k] = true
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-	}
-	order := make([]string, 0, len(nodes))
-	for n := range nodes {
-		order = append(order, n)
-	}
-	sort.Strings(order)
-	for _, succs := range adj {
-		sort.Strings(succs)
-	}
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	scc := make(map[string]int)
-	var stack []string
-	next, comp := 0, 0
-
-	type frame struct {
-		node string
-		succ int
-	}
-	var visit func(root string)
-	visit = func(root string) {
-		frames := []frame{{node: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.succ < len(adj[f.node]) {
-				w := adj[f.node][f.succ]
-				f.succ++
-				if _, ok := index[w]; !ok {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w})
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-				continue
-			}
-			if low[f.node] == index[f.node] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc[w] = comp
-					if w == f.node {
-						break
-					}
-				}
-				comp++
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.node] < low[p.node] {
-					low[p.node] = low[f.node]
-				}
-			}
-		}
-	}
-	for _, n := range order {
-		if _, ok := index[n]; !ok {
-			visit(n)
-		}
-	}
-	return scc
 }

@@ -38,17 +38,11 @@ var MemoKeyCheck = &Analyzer{
 }
 
 func runMemoKeyCheck(pass *Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Name.Name != "AppendKey" || fn.Recv == nil {
-				continue
-			}
-			if !takesKeyWriter(pass, fn) {
-				continue
-			}
-			checkAppendKey(pass, fn)
+	for _, fn := range funcDecls(pass.Files) {
+		if fn.Name.Name != "AppendKey" || fn.Recv == nil || !takesKeyWriter(pass, fn) {
+			continue
 		}
+		checkAppendKey(pass, fn)
 	}
 }
 

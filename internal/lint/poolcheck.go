@@ -21,14 +21,8 @@ var PoolCheck = &Analyzer{
 }
 
 func runPoolCheck(pass *Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkPoolFunc(pass, fn)
-		}
+	for _, fn := range funcDecls(pass.Files) {
+		checkPoolFunc(pass, fn)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// PureCheck proves (to one call level) that memoized compute functions
-// are referentially transparent: the cache replays their results, so
+// PureCheck proves that memoized compute functions are referentially
+// transparent: the cache replays their results, so
 // anything the result depends on beyond the canonical key — wall
 // clock, the process environment, a global random source, mutable
 // package state — silently splits cached from recomputed behavior, and
@@ -27,9 +27,9 @@ import (
 //   - writes through the enclosing function's receiver or parameters
 //     (directly, or by passing caller-visible memory to a module
 //     function whose summary writes through that slot);
-//   - calls to module functions whose own bodies do any of the above,
-//     via once-per-Program impurity summaries — the same one-level
-//     bound gatecheck uses for release summaries.
+//   - calls to module functions that depend on the environment, in
+//     their own bodies or through their callees any number of calls
+//     down, via once-per-Program impurity summaries.
 //
 // Calls through function values and interface dispatch are invisible
 // to the call graph and therefore unchecked — the same documented
@@ -62,41 +62,35 @@ func runPureCheck(pass *Pass) {
 	impure := impuritySummaries(pass)
 	globals := mutableGlobals(pass)
 
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			var fl *flowState // built lazily: only bodies with a memoized call pay
-			var localLits map[types.Object]*ast.FuncLit
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isMemoizedCall(pass.TypesInfo, call) || len(call.Args) == 0 {
-					return true
-				}
-				if fl == nil {
-					fl = newFlowState(pass.TypesInfo, slotObjects(pass.TypesInfo, fn), sums)
-					fl.solve(fn.Body)
-					localLits = singleAssignLits(pass.TypesInfo, fn.Body)
-				}
-				compute := ast.Unparen(call.Args[len(call.Args)-1])
-				pc := &pureChecker{
-					pass: pass, fl: fl, sums: sums, impure: impure,
-					globals: globals, localLits: localLits,
-					visited: make(map[*ast.FuncLit]bool),
-				}
-				switch x := compute.(type) {
-				case *ast.FuncLit:
-					pc.checkBody(x)
-				case *ast.Ident:
-					if obj := objectOf(pass, x); obj != nil && localLits[obj] != nil {
-						pc.checkBody(localLits[obj])
-					}
-				}
+	for _, fn := range funcDecls(pass.Files) {
+		var fl *flowState // built lazily: only bodies with a memoized call pay
+		var localLits map[types.Object]*ast.FuncLit
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isMemoizedCall(pass.TypesInfo, call) || len(call.Args) == 0 {
 				return true
-			})
-		}
+			}
+			if fl == nil {
+				fl = newFlowState(pass.TypesInfo, slotObjects(pass.TypesInfo, fn), sums)
+				fl.solve(fn.Body)
+				localLits = singleAssignLits(pass.TypesInfo, fn.Body)
+			}
+			compute := ast.Unparen(call.Args[len(call.Args)-1])
+			pc := &pureChecker{
+				pass: pass, fl: fl, sums: sums, impure: impure,
+				globals: globals, localLits: localLits,
+				visited: make(map[*ast.FuncLit]bool),
+			}
+			switch x := compute.(type) {
+			case *ast.FuncLit:
+				pc.checkBody(x)
+			case *ast.Ident:
+				if obj := objectOf(pass, x); obj != nil && localLits[obj] != nil {
+					pc.checkBody(localLits[obj])
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -105,8 +99,8 @@ func runPureCheck(pass *Pass) {
 type pureChecker struct {
 	pass      *Pass
 	fl        *flowState
-	sums      *valueSummaries
-	impure    map[*types.Func][]impurity
+	sums      map[*types.Func]valueFact
+	impure    map[*types.Func]impurity
 	globals   map[*types.Var]bool
 	localLits map[types.Object]*ast.FuncLit
 	visited   map[*ast.FuncLit]bool
@@ -146,15 +140,15 @@ func (pc *pureChecker) checkBody(lit *ast.FuncLit) {
 			}
 			return true
 		}
-		// One summary level: the callee's own environment impurities.
-		if ims := pc.impure[callee]; len(ims) > 0 {
-			pc.pass.Reportf(call.Pos(), "memoized compute function calls %s, which %s; memoized results must be pure functions of the canonical key", callee.Name(), ims[0].what)
+		// The callee's environment dependency, at any depth.
+		if im, ok := pc.impure[callee]; ok {
+			pc.pass.Reportf(call.Pos(), "memoized compute function calls %s, which %s; memoized results must be pure functions of the canonical key", viaName(callee, im.by), im.what)
 		}
 		// Passing caller-visible memory into a slot the callee writes.
-		for slot := range pc.sums.mutates[callee] {
+		for _, slot := range sortedSlots(pc.sums[callee].mutates) {
 			for _, arg := range argsForSlot(pc.pass.TypesInfo, call, callee, slot) {
 				if o := pc.fl.exprOrigins(arg); o.hasParams() {
-					pc.pass.Reportf(call.Pos(), "memoized compute function passes caller-visible memory (%s) to %s, which writes through it; the side effect is lost on every cached replay", pc.fl.slotDesc(o), callee.Name())
+					pc.pass.Reportf(call.Pos(), "memoized compute function passes caller-visible memory (%s) to %s, which writes through it; the side effect is lost on every cached replay", pc.fl.slotDesc(o), viaName(callee, pc.sums[callee].mutates[slot]))
 				}
 			}
 		}
@@ -162,30 +156,33 @@ func (pc *pureChecker) checkBody(lit *ast.FuncLit) {
 	})
 }
 
-// impurity is one environment dependency found in a function body.
+// impurity is one environment dependency: where a body has it, what it
+// is, and (in a summary) the function whose own body has it.
 type impurity struct {
 	pos  token.Pos
 	what string
+	by   *types.Func
 }
 
-// impuritySummaries records, once per Program, each module function's
-// direct environment impurities (clock/rand/os calls, mutable-global
-// reads, global writes). Built without consulting other summaries,
-// which bounds purecheck to one interprocedural level.
-func impuritySummaries(pass *Pass) map[*types.Func][]impurity {
-	return pass.Prog.Cache("purecheck.summaries", func() any {
-		globals := mutableGlobals(pass)
-		out := make(map[*types.Func][]impurity)
-		for fn, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			if ims := scanImpurities(node.Pkg.Info, node.Decl.Body, globals); len(ims) > 0 {
-				out[fn] = ims
+// impuritySummaries records each module function's environment
+// dependency: the first direct impurity in its body (clock/rand/os
+// calls, mutable-global reads, global writes) or, failing that, that of
+// the first function it calls that has one.
+func impuritySummaries(pass *Pass) map[*types.Func]impurity {
+	globals := mutableGlobals(pass)
+	return summarize(pass, "purecheck.summaries", func(n *CallNode, facts map[*types.Func]impurity) (impurity, bool) {
+		if ims := scanImpurities(n.Pkg.Info, n.Decl.Body, globals); len(ims) > 0 {
+			im := ims[0]
+			im.by = n.Fn
+			return im, true
+		}
+		for _, site := range n.Callees {
+			if im, ok := facts[site.Callee.Fn]; ok {
+				return im, true
 			}
 		}
-		return out
-	}).(map[*types.Func][]impurity)
+		return impurity{}, false
+	}, equalFacts[impurity])
 }
 
 // scanImpurities finds the direct environment impurities in one body:
@@ -206,13 +203,13 @@ func scanImpurities(info *types.Info, body *ast.BlockStmt, globals map[*types.Va
 			for _, lhs := range st.Lhs {
 				if id := globalWriteIdent(info, lhs); id != nil {
 					written[id] = true
-					out = append(out, impurity{lhs.Pos(), "writes package-level var " + id.Name})
+					out = append(out, impurity{pos: lhs.Pos(), what: "writes package-level var " + id.Name})
 				}
 			}
 		case *ast.IncDecStmt:
 			if id := globalWriteIdent(info, st.X); id != nil {
 				written[id] = true
-				out = append(out, impurity{st.X.Pos(), "writes package-level var " + id.Name})
+				out = append(out, impurity{pos: st.X.Pos(), what: "writes package-level var " + id.Name})
 			}
 		}
 		return true
@@ -222,7 +219,7 @@ func scanImpurities(info *types.Info, body *ast.BlockStmt, globals map[*types.Va
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if what := impureStdlibCall(info, x); what != "" {
-				out = append(out, impurity{x.Pos(), what})
+				out = append(out, impurity{pos: x.Pos(), what: what})
 			}
 		case *ast.Ident:
 			if written[x] {
@@ -233,7 +230,7 @@ func scanImpurities(info *types.Info, body *ast.BlockStmt, globals map[*types.Va
 				return true
 			}
 			if globals[v] {
-				out = append(out, impurity{x.Pos(), "reads package-level var " + x.Name + ", which is written elsewhere in the module"})
+				out = append(out, impurity{pos: x.Pos(), what: "reads package-level var " + x.Name + ", which is written elsewhere in the module"})
 			}
 		}
 		return true
@@ -307,31 +304,28 @@ func mutableGlobals(pass *Pass) map[*types.Var]bool {
 			}
 		}
 		for _, pkg := range pass.Prog.Pkgs {
-			for _, file := range pkg.Files {
-				for _, decl := range file.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil || (fd.Name.Name == "init" && fd.Recv == nil) {
-						continue
-					}
-					ast.Inspect(fd.Body, func(n ast.Node) bool {
-						switch st := n.(type) {
-						case *ast.AssignStmt:
-							if st.Tok == token.DEFINE {
-								return true
-							}
-							for _, lhs := range st.Lhs {
-								mark(pkg.Info, lhs)
-							}
-						case *ast.IncDecStmt:
-							mark(pkg.Info, st.X)
-						case *ast.UnaryExpr:
-							if st.Op == token.AND {
-								mark(pkg.Info, st.X)
-							}
-						}
-						return true
-					})
+			for _, fd := range funcDecls(pkg.Files) {
+				if fd.Name.Name == "init" && fd.Recv == nil {
+					continue
 				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch st := n.(type) {
+					case *ast.AssignStmt:
+						if st.Tok == token.DEFINE {
+							return true
+						}
+						for _, lhs := range st.Lhs {
+							mark(pkg.Info, lhs)
+						}
+					case *ast.IncDecStmt:
+						mark(pkg.Info, st.X)
+					case *ast.UnaryExpr:
+						if st.Op == token.AND {
+							mark(pkg.Info, st.X)
+						}
+					}
+					return true
+				})
 			}
 		}
 		return out

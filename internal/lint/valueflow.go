@@ -6,9 +6,10 @@ package lint
 // where the variable's aliasable memory may have come from — a
 // receiver/parameter slot (caller-owned), a cache hit (shared,
 // immutable by contract), fresh allocation (owned), or unknown — and
-// memoizes three interprocedural summaries on the shared Program:
-// which slots a function writes through, which slots its results may
-// alias, and which results hand back cache-resident memory.
+// summarizes each function for its callers: which slots it writes
+// through, which slots its results may alias, and which results hand
+// back cache-resident memory, through its callees any number of calls
+// deep.
 //
 // Soundness posture, by construction: origins the analysis cannot
 // resolve (dynamic calls, globals, channel receives) collapse to
@@ -22,6 +23,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"sort"
 	"strings"
 )
 
@@ -101,84 +104,97 @@ func (o *origins) merge(other *origins) bool {
 	return changed
 }
 
-// valueSummaries are the Program-wide interprocedural facts the layer
-// exports, built once per analysis run without consulting other
-// summaries — which is what bounds the analysis to one call level,
-// exactly like gatecheck's release summaries.
-type valueSummaries struct {
-	// mutates[fn][slot]: fn writes through memory reachable from the
-	// slot (0 = receiver when present, then parameters).
-	mutates map[*types.Func]map[int]bool
-	// aliases[fn][result][slot]: fn's result may alias the slot.
-	aliases map[*types.Func]map[int]map[int]bool
-	// borrows[fn][result]: fn's result may alias cache-resident memory
-	// (it contains a direct cache-hit source on a returning path).
-	borrows map[*types.Func]map[int]bool
+// valueFact is the value-flow summary of one function, built on the
+// summaries of its callees.
+type valueFact struct {
+	// mutates[slot]: the function writes through memory reachable from
+	// the slot (0 = receiver when present, then parameters); the value
+	// is the function whose own body writes.
+	mutates map[int]*types.Func
+	// aliases[result][slot]: the result may alias the slot.
+	aliases map[int]map[int]bool
+	// fresh[result]: the result may be memory the function allocates.
+	fresh map[int]bool
+	// borrows[result]: the result may alias cache-resident memory; the
+	// value is the function whose own body holds the cache-hit source.
+	borrows map[int]*types.Func
 }
 
-// valueFlowSummaries builds (once per Program) the mutation, alias, and
-// borrow summaries for every declared module function.
-func valueFlowSummaries(pass *Pass) *valueSummaries {
-	return pass.Prog.Cache("valueflow.summaries", func() any {
-		vs := &valueSummaries{
-			mutates: make(map[*types.Func]map[int]bool),
-			aliases: make(map[*types.Func]map[int]map[int]bool),
-			borrows: make(map[*types.Func]map[int]bool),
+func valueFactEqual(a, b valueFact) bool {
+	return maps.Equal(a.mutates, b.mutates) && maps.Equal(a.fresh, b.fresh) && maps.Equal(a.borrows, b.borrows) &&
+		maps.EqualFunc(a.aliases, b.aliases, maps.Equal[map[int]bool])
+}
+
+// valueFlowSummaries builds the mutation, alias, freshness, and borrow
+// summaries of every declared module function.
+func valueFlowSummaries(pass *Pass) map[*types.Func]valueFact {
+	return summarize(pass, "valueflow.summaries", func(n *CallNode, facts map[*types.Func]valueFact) (valueFact, bool) {
+		fn, info := n.Fn, n.Pkg.Info
+		fl := newFlowState(info, slotObjects(info, n.Decl), facts)
+		fl.solve(n.Decl.Body)
+
+		// Mutation summary: write sites whose base aliases a slot, then
+		// calls that pass a slot's memory to a callee writing through
+		// it. A partly fresh argument (a new reader wrapping the slot's
+		// bytes) does not count: the callee's write may land in the new
+		// memory. Writes and calls inside nested func literals count —
+		// the call graph attributes their execution to the enclosing
+		// function.
+		vf := valueFact{mutates: make(map[int]*types.Func)}
+		for _, ws := range collectWriteSites(info, n.Decl.Body) {
+			for s := range fl.exprOrigins(ws.base).params {
+				vf.mutates[s] = fn
+			}
 		}
-		for fn, node := range pass.Prog.CallGraph().Nodes {
-			if node.Decl == nil || node.Decl.Body == nil {
-				continue
-			}
-			info := node.Pkg.Info
-			fl := newFlowState(info, slotObjects(info, node.Decl), nil)
-			fl.solve(node.Decl.Body)
-
-			// Mutation summary: write sites whose base aliases a slot.
-			// Writes inside nested func literals count — the call graph
-			// attributes their execution to the enclosing function.
-			mut := make(map[int]bool)
-			for _, ws := range collectWriteSites(info, node.Decl.Body) {
-				for s := range fl.exprOrigins(ws.base).params {
-					mut[s] = true
-				}
-			}
-			if len(mut) > 0 {
-				vs.mutates[fn] = mut
-			}
-
-			// Alias and borrow summaries: origins of returned results.
-			// Returns inside nested func literals do not return from fn.
-			als := make(map[int]map[int]bool)
-			brw := make(map[int]bool)
-			nres := 0
-			if sig, ok := fn.Type().(*types.Signature); ok {
-				nres = sig.Results().Len()
-			}
-			forEachReturn(node.Decl, func(results []*origins) {
-				for ri, o := range results {
-					if ri >= nres || o == nil {
-						continue
-					}
-					for s := range o.params {
-						if als[ri] == nil {
-							als[ri] = make(map[int]bool)
+		for _, site := range n.Callees {
+			mut := facts[site.Callee.Fn].mutates
+			for _, slot := range sortedSlots(mut) {
+				for _, arg := range argsForSlot(info, site.Call, site.Callee.Fn, slot) {
+					if o := fl.exprOrigins(arg); !o.fresh {
+						for s := range o.params {
+							if _, ok := vf.mutates[s]; !ok {
+								vf.mutates[s] = mut[slot]
+							}
 						}
-						als[ri][s] = true
-					}
-					if o.hasHits() {
-						brw[ri] = true
 					}
 				}
-			}, fl)
-			if len(als) > 0 {
-				vs.aliases[fn] = als
-			}
-			if len(brw) > 0 {
-				vs.borrows[fn] = brw
 			}
 		}
-		return vs
-	}).(*valueSummaries)
+
+		// Alias, freshness and borrow summaries: origins of returned
+		// results. Returns inside nested func literals do not return
+		// from fn.
+		vf.aliases = make(map[int]map[int]bool)
+		vf.fresh = make(map[int]bool)
+		vf.borrows = make(map[int]*types.Func)
+		forEachReturn(n.Decl, func(results []*origins) {
+			for ri, o := range results {
+				for s := range o.params {
+					if vf.aliases[ri] == nil {
+						vf.aliases[ri] = make(map[int]bool)
+					}
+					vf.aliases[ri][s] = true
+				}
+				if o.fresh {
+					vf.fresh[ri] = true
+				}
+				if _, ok := vf.borrows[ri]; !ok && o.hasHits() {
+					vf.borrows[ri] = fl.hitBy(o, fn)
+				}
+			}
+		}, fl)
+		return vf, len(vf.mutates)+len(vf.aliases)+len(vf.fresh)+len(vf.borrows) > 0
+	}, valueFactEqual)
+}
+
+// sortedSlots lists the slots of a mutation summary in order.
+func sortedSlots(mut map[int]*types.Func) []int {
+	slots := make([]int, 0, len(mut))
+	for s := range mut {
+		slots = append(slots, s)
+	}
+	sort.Ints(slots)
+	return slots
 }
 
 // forEachReturn resolves the origins of every result of every return
@@ -267,21 +283,25 @@ func slotObjects(info *types.Info, decl *ast.FuncDecl) []types.Object {
 // flowState is one function body's value-origin analysis.
 type flowState struct {
 	info  *types.Info
-	sums  *valueSummaries // nil while building summaries (1-level bound)
+	sums  map[*types.Func]valueFact
 	slots []types.Object
 	vars  map[types.Object]*origins
-	// descs names each cache-hit source position for diagnostics.
-	descs   map[token.Pos]string
-	changed bool
+	// descs names each cache-hit source position for diagnostics, and
+	// borrowers the function holding the source of a hit that a callee's
+	// result hands back.
+	descs     map[token.Pos]string
+	borrowers map[token.Pos]*types.Func
+	changed   bool
 }
 
-func newFlowState(info *types.Info, slots []types.Object, sums *valueSummaries) *flowState {
+func newFlowState(info *types.Info, slots []types.Object, sums map[*types.Func]valueFact) *flowState {
 	fl := &flowState{
-		info:  info,
-		sums:  sums,
-		slots: slots,
-		vars:  make(map[types.Object]*origins),
-		descs: make(map[token.Pos]string),
+		info:      info,
+		sums:      sums,
+		slots:     slots,
+		vars:      make(map[types.Object]*origins),
+		descs:     make(map[token.Pos]string),
+		borrowers: make(map[token.Pos]*types.Func),
 	}
 	for i, obj := range slots {
 		if obj == nil {
@@ -488,9 +508,7 @@ func emptyOrigins(n int) []*origins {
 
 // callOrigins resolves the per-result origins of a call: conversions
 // and builtins structurally, cache-hit sources and defensive-copy
-// helpers by name, everything else through the interprocedural
-// summaries (when available — summary building itself runs without
-// them, bounding the analysis to one level).
+// helpers by name, everything else through the callee's summary.
 func (fl *flowState) callOrigins(call *ast.CallExpr, n int) []*origins {
 	out := emptyOrigins(n)
 
@@ -544,43 +562,62 @@ func (fl *flowState) callOrigins(call *ast.CallExpr, n int) []*origins {
 		}
 		return out
 	}
-	if fl.sums != nil {
-		for ri, slotset := range fl.sums.aliases[callee] {
-			if ri >= n {
-				continue
-			}
-			for slot := range slotset {
-				for _, arg := range argsForSlot(fl.info, call, callee, slot) {
-					out[ri].merge(fl.exprOrigins(arg))
-				}
+	sum := fl.sums[callee]
+	for ri := range sum.fresh {
+		if ri < n {
+			out[ri].fresh = true
+		}
+	}
+	for ri, slotset := range sum.aliases {
+		if ri >= n {
+			continue
+		}
+		for slot := range slotset {
+			for _, arg := range argsForSlot(fl.info, call, callee, slot) {
+				out[ri].merge(fl.exprOrigins(arg))
 			}
 		}
-		for ri := range fl.sums.borrows[callee] {
-			if ri >= n {
-				continue
-			}
-			if out[ri].hits == nil {
-				out[ri].hits = make(map[token.Pos]bool)
-			}
-			out[ri].hits[call.Pos()] = true
-			fl.descs[call.Pos()] = callee.Name() + " (returns cache-resident memory)"
+	}
+	for ri, by := range sum.borrows {
+		if ri >= n {
+			continue
 		}
+		if out[ri].hits == nil {
+			out[ri].hits = make(map[token.Pos]bool)
+		}
+		out[ri].hits[call.Pos()] = true
+		fl.descs[call.Pos()] = viaName(callee, by) + " (returns cache-resident memory)"
+		fl.borrowers[call.Pos()] = by
 	}
 	return out
 }
 
-// hitDesc names the earliest cache-hit source in o for a diagnostic.
-func (fl *flowState) hitDesc(o *origins) string {
+// firstHit is the earliest cache-hit source position in o.
+func firstHit(o *origins) token.Pos {
 	var best token.Pos
 	for p := range o.hits {
 		if best == 0 || p < best {
 			best = p
 		}
 	}
-	if d := fl.descs[best]; d != "" {
+	return best
+}
+
+// hitDesc names the earliest cache-hit source in o for a diagnostic.
+func (fl *flowState) hitDesc(o *origins) string {
+	if d := fl.descs[firstHit(o)]; d != "" {
 		return d
 	}
 	return "a cache hit"
+}
+
+// hitBy names the function holding the earliest cache-hit source in o:
+// fn itself for a direct source, or the callee summary's borrower.
+func (fl *flowState) hitBy(o *origins, fn *types.Func) *types.Func {
+	if by := fl.borrowers[firstHit(o)]; by != nil {
+		return by
+	}
+	return fn
 }
 
 // slotDesc names the lowest caller-visible slot in o for a diagnostic.

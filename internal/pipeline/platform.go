@@ -96,8 +96,6 @@ func DefaultPlatform() Platform {
 // share at 4K reflects.
 func DefaultDRAM() dram.Config {
 	cfg := dram.DefaultLPDDR3()
-	cfg.CKEHighPower = 640 * units.MilliWatt
-	cfg.SelfRefreshPower = 45 * units.MilliWatt
 	cfg.ReadPowerPerGBps = 200 * units.MilliWatt
 	cfg.WritePowerPerGBps = 240 * units.MilliWatt
 	return cfg

@@ -14,7 +14,7 @@ func BenchmarkSessionCompare(b *testing.B) {
 	cfg := Config{Scenario: pipeline.Planar(units.R4K, 60, 60), Seconds: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compare(p, m, cfg); err != nil {
+		if _, err := (Engine{P: p, M: m}).Compare(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

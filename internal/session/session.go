@@ -13,7 +13,6 @@ import (
 
 	"burstlink/internal/core"
 	"burstlink/internal/pipeline"
-	"burstlink/internal/power"
 	"burstlink/internal/stream"
 	"burstlink/internal/trace"
 	"burstlink/internal/units"
@@ -101,10 +100,4 @@ type Result struct {
 	BatteryLife time.Duration
 	// DRAMRead/DRAMWrite are per-second-of-playback traffic.
 	DRAMRead, DRAMWrite units.ByteSize
-}
-
-// Compare runs the same session under every scheme and returns the
-// results in scheme order.
-func Compare(p pipeline.Platform, m power.Model, cfg Config) ([]Result, error) {
-	return Engine{P: p, M: m}.Compare(cfg)
 }

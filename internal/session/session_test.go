@@ -16,7 +16,7 @@ func env() (pipeline.Platform, power.Model) {
 func TestSessionBaselineVsBurstLink(t *testing.T) {
 	p, m := env()
 	cfg := Config{Scenario: pipeline.Planar(units.R4K, 60, 60), Seconds: 10}
-	results, err := Compare(p, m, cfg)
+	results, err := Engine{P: p, M: m}.Compare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,6 @@ import (
 // IntV wraps an integer cell.
 func IntV(i int64) Value { return Value{I: i} }
 
-// IntAt returns the integer cell at (column, row).
-func (c *Columns) IntAt(col, row int) int64 { return c.ints[col][row] }
-
-// FloatAt returns the float cell at (column, row).
-func (c *Columns) FloatAt(col, row int) float64 { return c.floats[col][row] }
-
 // Tee fans one row stream out to several sinks in order.
 type Tee struct {
 	Sinks []Sink
@@ -65,51 +59,6 @@ func testSchema() Schema {
 			{Name: "n", Kind: Int},
 			{Name: "impact", Kind: Float, Unit: "pct", HistLo: 0, HistHi: 100, HistBuckets: 50},
 		},
-	}
-}
-
-func TestColumnsRoundTrip(t *testing.T) {
-	var c Columns
-	if err := c.Begin(testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	rows := [][]Value{
-		{Str("a"), IntV(1), FloatV(12.5)},
-		{Str("b"), IntV(2), FloatV(37.5)},
-	}
-	for _, r := range rows {
-		if err := c.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Rows() != 2 {
-		t.Fatalf("rows = %d, want 2", c.Rows())
-	}
-	if got := c.StringAt(0, 1); got != "b" {
-		t.Errorf("StringAt(0,1) = %q, want b", got)
-	}
-	if got := c.IntAt(1, 0); got != 1 {
-		t.Errorf("IntAt(1,0) = %d, want 1", got)
-	}
-	if got := c.FloatAt(2, 1); got != 37.5 {
-		t.Errorf("FloatAt(2,1) = %g, want 37.5", got)
-	}
-}
-
-func TestColumnsRowWidthMismatch(t *testing.T) {
-	var c Columns
-	if err := c.Begin(testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append([]Value{Str("short")}); err == nil {
-		t.Fatal("short row accepted")
-	}
-	var d Columns
-	if err := d.Append([]Value{Str("x")}); err == nil {
-		t.Fatal("Append before Begin accepted")
 	}
 }
 
@@ -206,9 +155,8 @@ func TestAggOutOfRange(t *testing.T) {
 }
 
 func TestTeeFansOut(t *testing.T) {
-	var c Columns
-	var a Agg
-	tee := Tee{Sinks: []Sink{&c, &a}}
+	var a, b Agg
+	tee := Tee{Sinks: []Sink{&a, &b}}
 	if err := tee.Begin(testSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +166,7 @@ func TestTeeFansOut(t *testing.T) {
 	if err := tee.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Rows() != 1 || a.Rows() != 1 {
-		t.Fatalf("rows = %d/%d, want 1/1", c.Rows(), a.Rows())
+	if a.Rows() != 1 || b.Rows() != 1 {
+		t.Fatalf("rows = %d/%d, want 1/1", a.Rows(), b.Rows())
 	}
 }
