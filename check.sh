@@ -1,8 +1,8 @@
 #!/bin/sh
-# Repository check: tier-1 build+test, race detector, vet, formatting
-# (simplify mode), domain static analysis (blklint) and its per-analyzer
-# benchmark, fuzz smoke, and the benchmark's smoke test (every workload
-# through its correctness gate).
+# Repository check: tier-1 build+test, every example run to a zero
+# exit, race detector, vet, formatting (simplify mode), domain static
+# analysis (blklint) and its per-analyzer benchmark, fuzz smoke, and the
+# benchmark's smoke test (every workload through its correctness gate).
 # See README.md "Testing & verification" and "Static analysis".
 set -e
 
@@ -13,6 +13,29 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# Every example, found rather than listed: each main package under
+# examples/ is built and run, so a new example joins by existing. An
+# example exits non-zero when a claim it prints fails (a routed body
+# that diverges, fleet aggregates that differ); its output is shown
+# only then.
+echo "== examples (build and run each)"
+ex_dir=$(mktemp -d)
+go build -o "$ex_dir/" ./examples/...
+names=$(ls "$ex_dir")
+if [ -z "$names" ]; then
+    echo "examples: found no example binaries" >&2
+    exit 1
+fi
+for name in $names; do
+    echo "-- $name"
+    if ! "$ex_dir/$name" > "$ex_dir/$name.out" 2>&1; then
+        cat "$ex_dir/$name.out" >&2
+        echo "example $name exited non-zero" >&2
+        exit 1
+    fi
+done
+rm -rf "$ex_dir"
 
 echo "== go test -race ./..."
 go test -race ./...

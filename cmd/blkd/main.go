@@ -7,9 +7,9 @@
 // Usage:
 //
 //	blkd [-addr :8080] [-cache 4096] [-segcache 8192] [-concurrency N]
-//	     [-queue 64] [-timeout 30s] [-drain 10s]
-//	     [-node NAME] [-warm snapshot.gob]
-//	blkd -route http://node1:8080,http://node2:8080
+//	     [-queue 64] [-timeout 30s] [-drain 10s] [-node NAME]
+//	blkd [-addr :8080] [-drain 10s] [-node NAME]
+//	     -route http://node1:8080,http://node2:8080
 //
 // -cache and -segcache size the result and segment caches; both are
 // always on, so each needs at least one entry.
@@ -23,16 +23,15 @@
 //	GET  /v1/exp/{id}   run one §6 experiment table
 //	GET  /v1/stats      service counters (cache, rejections, peaks)
 //	GET  /v1/health     node identity and load/fill document
-//	GET  /v1/snapshot   cache snapshot export for warm restarts
 //	GET  /healthz       liveness probe
 //
 // With -route, blkd runs as a thin cluster router instead of a compute
 // node: each request is canonicalized to its result-cache key and
 // forwarded to the consistent-hash owner among the listed backends
 // (cluster.DefaultVNodes virtual nodes each), so every scenario's cache
-// entry lives on exactly one node. With -warm, a compute node imports a
-// snapshot (taken via GET /v1/snapshot from a previous instance) before
-// serving, restarting with its caches hot.
+// entry lives on exactly one node. A node starts with empty caches and
+// refills them from traffic: every body is a pure function of its key,
+// so a cold node's first answers cost compute, never correctness.
 //
 // blkd drains gracefully on SIGINT/SIGTERM: the listener closes,
 // in-flight requests finish (bounded by -drain), then the process exits.
@@ -45,6 +44,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -65,7 +65,6 @@ func main() {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request execution deadline")
 	drain := fs.Duration("drain", 10*time.Second, "graceful drain bound on shutdown")
 	node := fs.String("node", "", "node name reported in /v1/health and /v1/stats (default blkd)")
-	warm := fs.String("warm", "", "import a cache snapshot file before serving (warm restart)")
 	route := fs.String("route", "", "run as a cluster router over these comma-separated backend URLs")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -81,66 +80,44 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	var h http.Handler
+	var banner string
 	if *route != "" {
-		if err := runRouter(ctx, *addr, *node, *route, *drain); err != nil {
-			fmt.Fprintln(os.Stderr, "blkd:", err)
-			os.Exit(1)
+		backends := splitMembers(*route)
+		rt, err := cluster.NewRouter(cluster.RouterConfig{Node: *node, Backends: backends})
+		if err != nil {
+			fail(err)
 		}
-		log.Printf("blkd router drained and stopped")
-		return
+		h = rt.Handler()
+		banner = fmt.Sprintf("blkd routing on %s over %d backends", *addr, len(backends))
+	} else {
+		h = server.New(server.Config{
+			NodeID:              *node,
+			MaxConcurrent:       *conc,
+			QueueDepth:          *queue,
+			CacheEntries:        *cacheN,
+			SegmentCacheEntries: *segN,
+			RequestTimeout:      *timeout,
+		}).Handler()
+		banner = fmt.Sprintf("blkd listening on %s (cache=%d, segcache=%d, queue=%d, timeout=%v)", *addr, *cacheN, *segN, *queue, *timeout)
 	}
 
-	srv := server.New(server.Config{
-		Addr:                *addr,
-		NodeID:              *node,
-		MaxConcurrent:       *conc,
-		QueueDepth:          *queue,
-		CacheEntries:        *cacheN,
-		SegmentCacheEntries: *segN,
-		RequestTimeout:      *timeout,
-		DrainTimeout:        *drain,
-	})
-	if *warm != "" {
-		f, err := os.Open(*warm)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blkd:", err)
-			os.Exit(1)
-		}
-		snap, err := srv.Warm(f)
-		_ = f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blkd: warm %s: %v\n", *warm, err)
-			os.Exit(1)
-		}
-		log.Printf("blkd warmed from %s (node %s: %d results, %d segments, %d skipped)",
-			*warm, snap.Node, len(snap.Results), len(snap.Segments), snap.SegmentsSkipped)
+	// Both modes share one serve path: listen, serve, drain.
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fail(err)
 	}
-
-	log.Printf("blkd listening on %s (cache=%d, segcache=%d, queue=%d, timeout=%v)", *addr, *cacheN, *segN, *queue, *timeout)
-	if err := srv.ListenAndServe(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "blkd:", err)
-		os.Exit(1)
+	log.Print(banner)
+	if err := server.ServeHandler(ctx, l, h, *drain); err != nil {
+		fail(err)
 	}
 	log.Printf("blkd drained and stopped")
 }
 
-// runRouter serves the consistent-hash routing handler on addr until
-// ctx is canceled, reusing the compute node's drain lifecycle.
-func runRouter(ctx context.Context, addr, node, route string, drain time.Duration) error {
-	backends := splitMembers(route)
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Node:     node,
-		Backends: backends,
-	})
-	if err != nil {
-		return err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("blkd routing on %s over %d backends", addr, len(backends))
-	return server.ServeHandler(ctx, l, rt.Handler(), drain)
+// fail reports an operational error and exits 1; usage errors exit 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "blkd:", err)
+	os.Exit(1)
 }
 
 // splitMembers parses -route's comma-separated membership list

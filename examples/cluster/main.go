@@ -11,10 +11,9 @@
 //     single-node blkd byte for byte (the router adds nothing and
 //     loses nothing);
 //   - single ownership: summed cache misses across the two nodes equal
-//     the number of distinct scenarios — no key computed twice;
-//   - warm restart: a snapshot exported from the busiest node and
-//     imported into a fresh node turns that node's share of the mix
-//     into pure cache hits.
+//     the number of distinct scenarios — no key computed twice.
+//
+// It exits 1 if a routed body diverges or a scenario is computed twice.
 package main
 
 import (
@@ -26,12 +25,15 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 
 	"burstlink/internal/api"
 	"burstlink/internal/cluster"
 	"burstlink/internal/server"
-	"burstlink/internal/units"
 )
+
+// distinct is the number of distinct scenarios in the mix.
+const distinct = 4
 
 // scenarios is the replayed mix: four distinct configurations, two of
 // them repeated (the duplicate-heavy shape the scenario cache exploits).
@@ -87,6 +89,7 @@ func main() {
 	defer front.Close()
 
 	names := map[string]string{nodeA.URL: "node-a", nodeB.URL: "node-b"}
+	ok := true
 	fmt.Println("two-node cluster vs a standalone blkd, same scenario mix:")
 	for i, req := range scenarios() {
 		want, _, err := post(solo.URL, req)
@@ -100,6 +103,7 @@ func main() {
 		match := "byte-identical"
 		if !bytes.Equal(want, got) {
 			match = "DIVERGED"
+			ok = false
 		}
 		fmt.Printf("  #%d %-12s %-4s %2d fps %ds  -> %-6s  %s\n",
 			i+1, req.Scheme, req.Resolution, req.FPS, req.Seconds, names[node], match)
@@ -117,42 +121,11 @@ func main() {
 		hits += st.CacheHits
 	}
 	fmt.Printf("\nownership: %d distinct scenarios -> %d node misses, %d hits across %d nodes\n",
-		4, misses, hits, len(cs.Nodes))
+		distinct, misses, hits, len(cs.Nodes))
 	for _, fc := range cs.Forwarded {
 		fmt.Printf("  %-6s owned %d of %d routed requests\n", names[fc.Node], fc.Requests, cs.Requests)
 	}
-
-	// Warm restart: snapshot the node that owned the most requests,
-	// import it into a fresh node, and that node's share of the mix
-	// becomes pure hits — zero recomputation.
-	busiest := cs.Forwarded[0]
-	for _, fc := range cs.Forwarded[1:] {
-		if fc.Requests > busiest.Requests {
-			busiest = fc
-		}
+	if !ok || misses != distinct {
+		os.Exit(1)
 	}
-	snap, err := api.NewClient(busiest.Node).Snapshot(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fresh := server.New(server.Config{NodeID: "fresh"})
-	if _, err := fresh.Warm(bytes.NewReader(snap)); err != nil {
-		log.Fatal(err)
-	}
-	freshTS := httptest.NewServer(fresh.Handler())
-	defer freshTS.Close()
-	ring := rt.Ring()
-	replayed := 0
-	for _, req := range scenarios()[:4] {
-		if ring.Owner(req.CacheKey()) != busiest.Node {
-			continue
-		}
-		if _, _, err := post(freshTS.URL, req); err != nil {
-			log.Fatal(err)
-		}
-		replayed++
-	}
-	st := fresh.Stats()
-	fmt.Printf("\nwarm restart: %s %s snapshot -> fresh node served %d scenarios with %d hits, %d misses\n",
-		names[busiest.Node], units.ByteSize(len(snap)), replayed, st.CacheHits, st.CacheMisses)
 }

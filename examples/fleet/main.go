@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 
 	"burstlink/internal/api"
 	"burstlink/internal/fleet"
@@ -86,5 +87,9 @@ func main() {
 	// aggregates serialize to the same bytes.
 	local, _ := json.Marshal(agg.Summaries())
 	remote, _ := json.Marshal(res.Metrics)
-	fmt.Printf("aggregates byte-identical: %t\n", string(local) == string(remote))
+	same := string(local) == string(remote)
+	fmt.Printf("aggregates byte-identical: %t\n", same)
+	if !same {
+		os.Exit(1)
+	}
 }

@@ -234,25 +234,6 @@ func (c *Client) ClusterStats(ctx context.Context) (ClusterStats, error) {
 	return out, err
 }
 
-// Snapshot fetches the node's cache snapshot (GET /v1/snapshot), the
-// warm-restart export a fresh node imports via blkd -warm.
-func (c *Client) Snapshot(ctx context.Context) ([]byte, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/snapshot", nil)
-	if err != nil {
-		return nil, err
-	}
-	// Close failures after a full read carry no information we can act on.
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, Errf(resp.StatusCode, "http_error", "GET /v1/snapshot: status %d", resp.StatusCode)
-	}
-	return data, nil
-}
-
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	_, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil)

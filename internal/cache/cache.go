@@ -74,7 +74,7 @@ type flight[V any] struct {
 type LRUOf[V any] struct {
 	mu        sync.Mutex
 	capacity  int
-	order     *list.List // front = most recently used; Elements carry *EntryOf[V]
+	order     *list.List // front = most recently used; Elements carry *entry[V]
 	items     map[string]*list.Element
 	flights   map[string]*flight[V]
 	hits      uint64
@@ -112,7 +112,7 @@ func (c *LRUOf[V]) Get(key string) (V, bool) {
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*EntryOf[V]).Val, true
+	return el.Value.(*entry[V]).val, true
 }
 
 // Do returns the value for key, computing it at most once per cache
@@ -131,7 +131,7 @@ func (c *LRUOf[V]) Do(key string, compute func() (V, error)) (V, Outcome, error)
 	if el, ok := c.items[key]; ok {
 		c.hits++
 		c.order.MoveToFront(el)
-		v := el.Value.(*EntryOf[V]).Val
+		v := el.Value.(*entry[V]).val
 		c.mu.Unlock()
 		return v, Hit, nil
 	}
@@ -177,54 +177,24 @@ func (c *LRUOf[V]) putLocked(key string, val V) {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		el.Value.(*EntryOf[V]).Val = val
+		el.Value.(*entry[V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
 	if c.order.Len() >= c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*EntryOf[V]).Key)
+		delete(c.items, oldest.Value.(*entry[V]).key)
 		c.evictions++
 	}
-	c.items[key] = c.order.PushFront(&EntryOf[V]{Key: key, Val: val})
+	c.items[key] = c.order.PushFront(&entry[V]{key: key, val: val})
 }
 
-// EntryOf is one key/value pair: the element of the cache's recency
-// list and of a snapshot (see Dump/Load).
-type EntryOf[V any] struct {
-	Key string
-	Val V
-}
-
-// Dump returns the cache's entries ordered least → most recently used,
-// so replaying them through Load (or Put) on a fresh cache reproduces
-// both the contents and the eviction order exactly. Values are aliased,
-// not copied — the cache's usual read-only contract applies.
-func (c *LRUOf[V]) Dump() []EntryOf[V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EntryOf[V], 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*EntryOf[V]))
-	}
-	return out
-}
-
-// Load replays dumped entries into the cache in order (least recently
-// used first), restoring contents and recency without touching the
-// counters — a warmed cache then behaves byte-identically to
-// the cache that produced the dump. Entries beyond capacity evict in
-// the usual LRU order. The whole replay installs under one lock
-// acquisition, and the cache takes ownership of the entry values:
-// callers hand over freshly decoded (snapshot) memory, never buffers
-// they keep writing to.
-func (c *LRUOf[V]) Load(entries []EntryOf[V]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range entries {
-		c.putLocked(e.Key, e.Val)
-	}
+// entry is one key/value pair: the element of the cache's recency
+// list.
+type entry[V any] struct {
+	key string
+	val V
 }
 
 // Stats snapshots the counters.

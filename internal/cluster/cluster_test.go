@@ -1,8 +1,7 @@
 // Package cluster_test holds the cluster integration tests — the 2-node
-// wire-determinism pin, routed load, and the snapshot round-trip. It is
-// an external test package because it drives real internal/server
-// instances, and server imports cluster; the production dependency
-// arrow stays server → cluster.
+// wire-determinism pin and routed load. They drive real internal/server
+// instances behind the router from outside both packages, the way blkd
+// wires them.
 package cluster_test
 
 import (
@@ -303,77 +302,6 @@ func TestRouterClientGone(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadGateway ||
 		env.Error == nil || env.Error.Code != "backend_unreachable" {
 		t.Errorf("dead backend: %d %q, want 502 backend_unreachable", rec.Code, rec.Body)
-	}
-}
-
-// TestSnapshotRoundTrip pins the warm-restart contract: export a loaded
-// node's caches, import them into a fresh node, and the fresh node
-// serves the same scenarios as pure hits with byte-identical bodies.
-func TestSnapshotRoundTrip(t *testing.T) {
-	seq := []wireRequest{
-		{"POST", "/v1/session", marshal(t, api.SessionRequest{Scheme: "conventional", Resolution: "FHD", Refresh: 60, FPS: 30, Seconds: 3})},
-		{"POST", "/v1/session", marshal(t, api.SessionRequest{Scheme: "burstlink", Resolution: "QHD", Refresh: 60, FPS: 60, Seconds: 2})},
-		{"POST", "/v1/sweep", marshal(t, api.SweepRequest{
-			Schemes: []string{"burstlink"}, Resolutions: []string{"FHD", "QHD"},
-			FPS: []units.FPS{30}, Refresh: 60, Seconds: 2,
-		})},
-	}
-
-	warmNode := server.New(server.Config{NodeID: "warm"})
-	ts := httptest.NewServer(warmNode.Handler())
-	defer ts.Close()
-	bodies := make([][]byte, len(seq))
-	for i, r := range seq {
-		status, body, _ := replay(t, ts.URL, r)
-		if status != 200 {
-			t.Fatalf("warm request %d: status %d: %s", i, status, body)
-		}
-		bodies[i] = body
-	}
-
-	// Export over the wire, exactly as `blkd -warm` consumes it.
-	snapBytes, err := api.NewClient(ts.URL).Snapshot(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coldNode := server.New(server.Config{NodeID: "cold"})
-	snap, err := coldNode.Warm(bytes.NewReader(snapBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Node != "warm" {
-		t.Errorf("snapshot node = %q, want warm", snap.Node)
-	}
-	if len(snap.Results) == 0 {
-		t.Fatal("snapshot carried no result entries")
-	}
-
-	cold := httptest.NewServer(coldNode.Handler())
-	defer cold.Close()
-	for i, r := range seq {
-		status, body, _ := replay(t, cold.URL, r)
-		if status != 200 {
-			t.Fatalf("cold request %d: status %d: %s", i, status, body)
-		}
-		if !bytes.Equal(body, bodies[i]) {
-			t.Errorf("request %d: warmed node bytes diverge from the origin\norigin: %s\nwarmed: %s",
-				i, bodies[i], body)
-		}
-	}
-
-	// The warmed node answered everything from the imported cache:
-	// identical hit behavior means zero misses and one hit per request.
-	warmStats := warmNode.Stats()
-	coldStats := coldNode.Stats()
-	if coldStats.CacheMisses != 0 {
-		t.Errorf("warmed node recomputed %d scenarios, want 0", coldStats.CacheMisses)
-	}
-	if coldStats.CacheHits != uint64(len(seq)) {
-		t.Errorf("warmed node hits = %d, want %d", coldStats.CacheHits, len(seq))
-	}
-	if coldStats.CacheEntries != warmStats.CacheEntries {
-		t.Errorf("warmed node holds %d entries, origin %d", coldStats.CacheEntries, warmStats.CacheEntries)
 	}
 }
 

@@ -8,7 +8,7 @@
 // and the delta-simulation segments under it) on exactly one node, so
 // hit ratios survive the move from one node to N.
 //
-// The package provides the three pieces that problem needs:
+// The package provides the two pieces that problem needs:
 //
 //   - Ring, a consistent-hash ring with virtual nodes: canonical cache
 //     keys map onto member nodes such that membership changes move only
@@ -16,11 +16,10 @@
 //     and virtual nodes keep the per-node key share balanced;
 //   - Router, a thin HTTP front that canonicalizes each request exactly
 //     as the backend would and forwards it to the ring owner of its
-//     cache key (`blkd -route node1,node2,...`);
-//   - Snapshot, the export/import format for a node's result cache and
-//     segment cache (`GET /v1/snapshot`, `blkd -warm file`), so a
-//     restarted or newly added node starts warm with byte-identical hit
-//     behavior instead of recomputing its working set.
+//     cache key (`blkd -route node1,node2,...`).
+//
+// A restarted or newly added node starts cold and refills its caches
+// from the traffic it owns; no cache state moves between nodes.
 //
 // Clients, blkload included, reach a fleet through the router exactly
 // as they would reach a single node.

@@ -17,7 +17,13 @@ import (
 //     pointer stores; append; copy; in-place sorts) and not by passing
 //     it to a module function whose summary says it writes through
 //     that parameter. One such write poisons every future hit of the
-//     key, a wrong-answer bug no throughput test catches.
+//     key, a wrong-answer bug no throughput test catches. An argument
+//     that is partly fresh — a wrapper allocated over the hit, such as
+//     a new reader — is exempt, as it is in the summaries: advancing
+//     the wrapper's own cursor is clean, and a wrapper method that
+//     writes through the bytes it wraps goes unreported, because
+//     origins do not tell a wrapper's own fields from the memory it
+//     points to.
 //
 //   - Insert side: a value handed to a cache Put, or returned by the
 //     compute closure of memo.Do or a cache Do, must not alias the
@@ -60,13 +66,15 @@ func checkAliasFunc(pass *Pass, sums map[*types.Func]valueFact, fn *ast.FuncDecl
 		}
 
 		// Hit side, through a call: a hit-derived argument in a slot the
-		// callee's summary marks as written-through.
+		// callee's summary marks as written-through. A partly fresh
+		// argument (a new reader over the hit) is exempt, as in the
+		// summaries: the callee's write may land in the new memory.
 		if callee := StaticCallee(pass.TypesInfo, call); callee != nil {
 			mut := sums[callee].mutates
 		slotLoop:
 			for _, slot := range sortedSlots(mut) {
 				for _, arg := range argsForSlot(pass.TypesInfo, call, callee, slot) {
-					if o := fl.exprOrigins(arg); o.hasHits() {
+					if o := fl.exprOrigins(arg); o.hasHits() && !o.fresh {
 						pass.Reportf(call.Pos(), "%s writes through its parameter, and this argument aliases memory obtained from %s — pass a defensive copy", viaName(callee, mut[slot]), fl.hitDesc(o))
 						break slotLoop
 					}

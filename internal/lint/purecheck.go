@@ -26,7 +26,10 @@ import (
 //   - writes to any package-level var;
 //   - writes through the enclosing function's receiver or parameters
 //     (directly, or by passing caller-visible memory to a module
-//     function whose summary writes through that slot);
+//     function whose summary writes through that slot — unless the
+//     argument is partly fresh, a wrapper such as a cursor allocated
+//     over that memory, which the summaries exempt too: a wrapper
+//     method that writes through the bytes it wraps goes unreported);
 //   - calls to module functions that depend on the environment, in
 //     their own bodies or through their callees any number of calls
 //     down, via once-per-Program impurity summaries.
@@ -144,10 +147,11 @@ func (pc *pureChecker) checkBody(lit *ast.FuncLit) {
 		if im, ok := pc.impure[callee]; ok {
 			pc.pass.Reportf(call.Pos(), "memoized compute function calls %s, which %s; memoized results must be pure functions of the canonical key", viaName(callee, im.by), im.what)
 		}
-		// Passing caller-visible memory into a slot the callee writes.
+		// Passing caller-visible memory into a slot the callee writes;
+		// a partly fresh argument is exempt, as in the summaries.
 		for _, slot := range sortedSlots(pc.sums[callee].mutates) {
 			for _, arg := range argsForSlot(pc.pass.TypesInfo, call, callee, slot) {
-				if o := pc.fl.exprOrigins(arg); o.hasParams() {
+				if o := pc.fl.exprOrigins(arg); o.hasParams() && !o.fresh {
 					pc.pass.Reportf(call.Pos(), "memoized compute function passes caller-visible memory (%s) to %s, which writes through it; the side effect is lost on every cached replay", pc.fl.slotDesc(o), viaName(callee, pc.sums[callee].mutates[slot]))
 				}
 			}

@@ -87,3 +87,21 @@ func ReadHit(c *cache.LRU, key string) byte {
 	v, _ := c.Get(key)
 	return first(v)
 }
+
+// ReadHitInline builds the reader over a hit in its own body and
+// advances it: the write lands in the fresh reader, so it is clean.
+func ReadHitInline(c *cache.LRU, key string) byte {
+	v, _ := c.Get(key)
+	r := newReader(v)
+	return r.next()
+}
+
+// zero writes through its pointer.
+func zero(p *byte) { *p = 0 }
+
+// ZeroHitElem hands a pointer into a hit to a writer: &v[0] allocates
+// nothing, so the write lands in the cached bytes.
+func ZeroHitElem(c *cache.LRU, key string) {
+	v, _ := c.Get(key)
+	zero(&v[0]) // want "zero writes through its parameter, and this argument aliases memory obtained from cache.Get"
+}

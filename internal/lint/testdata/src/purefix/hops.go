@@ -80,3 +80,38 @@ func PureRecursion(c *memo.Cache) (int, error) {
 		return fib(10), nil
 	})
 }
+
+// cursor is a fresh position over borrowed bytes.
+type cursor struct {
+	buf []byte
+	pos int
+}
+
+func newCursor(b []byte) *cursor { return &cursor{buf: b} }
+
+// next moves the cursor, not the bytes it reads.
+func (c *cursor) next() byte {
+	c.pos++
+	return c.buf[c.pos-1]
+}
+
+// CursorOverParam's compute reads a parameter through a fresh cursor
+// and advances it: the write lands in the cursor, so it is clean.
+func CursorOverParam(c *memo.Cache, buf []byte) (byte, error) {
+	return memo.Do(c, "hc", in{15}, func() (byte, error) {
+		r := newCursor(buf)
+		return r.next(), nil
+	})
+}
+
+// zero writes through its pointer.
+func zero(p *byte) { *p = 0 }
+
+// ZeroParamElem's compute hands a pointer into a parameter to a
+// writer: &buf[0] allocates nothing, so the write reaches the caller.
+func ZeroParamElem(c *memo.Cache, buf []byte) (int, error) {
+	return memo.Do(c, "hz", in{16}, func() (int, error) {
+		zero(&buf[0]) // want "passes caller-visible memory .buf. to zero, which writes through it"
+		return len(buf), nil
+	})
+}

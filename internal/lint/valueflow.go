@@ -439,10 +439,11 @@ func (fl *flowState) exprOrigins(e ast.Expr) *origins {
 	case *ast.StarExpr:
 		return fl.exprOrigins(x.X)
 	case *ast.UnaryExpr:
+		// &x allocates nothing: &rows[i] and &hit.f point into the
+		// memory rows and hit came from. &T{...} is fresh through its
+		// composite literal.
 		if x.Op == token.AND {
-			o := &origins{fresh: true}
-			o.merge(fl.exprOrigins(x.X))
-			return o
+			return fl.exprOrigins(x.X)
 		}
 		if x.Op == token.ARROW {
 			return &origins{unknown: true}

@@ -136,9 +136,17 @@ func (w *KeyWriter) Sum(segment string) string {
 	return segment + ":" + hex.EncodeToString(sum[:])
 }
 
+// keyBufSize is KeyOf's starting buffer. It holds a request key
+// (192–195 bytes on a session mix), a fleet device key (435–444; a
+// fleet request keys every device it samples), a buffer key (88) or a
+// timeline key (454) without regrowing, where a nil buffer regrows
+// append by append; power-period keys (4.5–16 KB) start their growth
+// from it.
+const keyBufSize = 512
+
 // KeyOf renders k's canonical key under the given segment name.
 func KeyOf(segment string, k Keyer) string {
-	var w KeyWriter
+	w := KeyWriter{buf: make([]byte, 0, keyBufSize)}
 	k.AppendKey(&w)
 	return w.Sum(segment)
 }

@@ -24,11 +24,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -38,7 +36,6 @@ import (
 
 	"burstlink/internal/api"
 	"burstlink/internal/cache"
-	"burstlink/internal/cluster"
 	"burstlink/internal/exp"
 	"burstlink/internal/fleet"
 	"burstlink/internal/memo"
@@ -52,8 +49,6 @@ import (
 // Config tunes the service layer. Zero values select the defaults noted
 // on each field.
 type Config struct {
-	// Addr is the listen address for ListenAndServe (default ":8080").
-	Addr string
 	// NodeID names this instance in /v1/stats and /v1/health — the
 	// identity cluster tooling attributes per-node counters to
 	// (default "blkd").
@@ -71,17 +66,12 @@ type Config struct {
 	SegmentCacheEntries int
 	// RequestTimeout is the per-request execution deadline (default 30s).
 	RequestTimeout time.Duration
-	// DrainTimeout bounds the graceful drain on shutdown (default 10s).
-	DrainTimeout time.Duration
 	// RetryAfterSeconds is advertised on 429 responses (default 1).
 	RetryAfterSeconds int
 }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Addr == "" {
-		c.Addr = ":8080"
-	}
 	if c.NodeID == "" {
 		c.NodeID = "blkd"
 	}
@@ -99,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	if c.RetryAfterSeconds <= 0 {
 		c.RetryAfterSeconds = 1
@@ -143,7 +130,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("POST /v1/session", s.admit(s.handleSession))
 	s.mux.HandleFunc("POST /v1/sweep", s.admit(s.handleSweep))
 	s.mux.HandleFunc("POST /v1/fleet", s.admit(s.handleFleet))
@@ -471,47 +457,6 @@ func (s *Server) NodeHealth() api.Health {
 	}
 }
 
-// handleSnapshot serves GET /v1/snapshot: the node's result and segment
-// caches as a warm-restart export (see internal/cluster.Snapshot and
-// blkd -warm).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		api.WriteError(w, api.Errf(http.StatusInternalServerError, "snapshot_failed", "%v", err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// A short write means the client disconnected mid-download.
-	_, _ = w.Write(buf.Bytes())
-}
-
-// WriteSnapshot exports the node's cache state to w: result cache and
-// segment cache, both in recency order, so an import reproduces hit and
-// eviction behavior exactly.
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	snap := cluster.Snapshot{
-		Node:     s.cfg.NodeID,
-		Results:  s.cache.Dump(),
-		Segments: s.eng.Memo.Dump(),
-	}
-	return snap.Encode(w)
-}
-
-// Warm imports a snapshot previously exported by WriteSnapshot (on this
-// node or any other — determinism makes cached values node-portable),
-// replaying it into the result and segment caches. It returns the
-// imported snapshot's metadata. Counters are untouched: a warmed node's
-// subsequent hit/miss accounting is identical to the exporting node's.
-func (s *Server) Warm(r io.Reader) (*cluster.Snapshot, error) {
-	snap, err := cluster.DecodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.Load(snap.Results)
-	s.eng.Memo.Load(snap.Segments)
-	return snap, nil
-}
-
 // Stats snapshots the service counters, including the delta-simulation
 // segment cache that sits under the result cache.
 func (s *Server) Stats() api.Stats {
@@ -565,28 +510,11 @@ func writeResult(w http.ResponseWriter, body []byte, status api.CacheStatus, aer
 	_, _ = w.Write(body)
 }
 
-// ListenAndServe listens on cfg.Addr and serves until ctx is canceled,
-// then drains gracefully: the listener closes, in-flight requests get up
-// to DrainTimeout to finish, and only then does the call return.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	l, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	return s.ServeListener(ctx, l)
-}
-
-// ServeListener serves on l until ctx is canceled, then drains. The
-// listener is owned (and closed) by the server from this point on.
-func (s *Server) ServeListener(ctx context.Context, l net.Listener) error {
-	return ServeHandler(ctx, l, s.Handler(), s.cfg.DrainTimeout)
-}
-
 // ServeHandler serves h on l until ctx is canceled, then drains
 // gracefully: the listener closes, in-flight requests get up to drain to
-// finish, and only then does the call return. It is the shared process
-// lifecycle of every blkd-shaped daemon — the compute node (Server) and
-// the cluster router (internal/cluster.Router) both run on it.
+// finish, and only then does the call return. It is blkd's one serve
+// path: the daemon listens on -addr and serves a compute node's Handler
+// or a cluster router's through it.
 func ServeHandler(ctx context.Context, l net.Listener, h http.Handler, drain time.Duration) error {
 	httpSrv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
@@ -609,11 +537,15 @@ func ServeHandler(ctx context.Context, l net.Listener, h http.Handler, drain tim
 	}
 }
 
+// drainTimeout bounds Start's graceful drain; blkd sets its own with
+// -drain.
+const drainTimeout = 10 * time.Second
+
 // Start serves on l in the background and returns a stop function that
-// triggers the graceful drain and waits for it — the in-process form the
-// bench harness and examples use.
+// triggers the graceful drain, bounded by drainTimeout, and waits for
+// it — the in-process form the bench harness and examples use.
 func (s *Server) Start(l net.Listener) (stop func() error) {
-	return StartHandler(l, s.Handler(), s.cfg.DrainTimeout)
+	return StartHandler(l, s.Handler(), drainTimeout)
 }
 
 // StartHandler is ServeHandler in the background: it serves h on l and

@@ -381,7 +381,7 @@ func TestBackpressure(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	s := New(Config{DrainTimeout: 5 * time.Second})
+	s := New(Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
